@@ -27,6 +27,11 @@ Bytes piece_bytes(std::span<const SentPiece> pieces) {
   return sum;
 }
 
+/// Unit slices: n bytes are n slices worth n * value.
+void add_units(Tally& tally, Bytes n, Weight value) {
+  if (n > 0) tally.add(n, value * static_cast<Weight>(n), n);
+}
+
 double lost_weight_so_far(const SimReport& r) {
   return r.dropped_server.weight + r.dropped_client_overflow.weight +
          r.dropped_client_late.weight + r.lost_link.weight;
@@ -149,9 +154,9 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   if (!pieces_.empty()) link_->submit(t, std::move(pieces_));
   auto delivered = link_->deliver(t);
   st.delivered = piece_bytes(delivered);
-  deliver(t, delivered, st);
+  deliver(t, delivered);
   play(t, st);
-  settle_capacity(st);
+  settle_capacity();
   report_.max_client_occupancy =
       std::max(report_.max_client_occupancy, occupancy_);
   if (max_client_occupancy_ != nullptr) max_client_occupancy_->update(occupancy_);
@@ -189,9 +194,7 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   return st;
 }
 
-void LiveEngine::deliver(Time t, std::span<const SentPiece> pieces,
-                         StepStats& st) {
-  (void)st;
+void LiveEngine::deliver(Time t, std::span<const SentPiece> pieces) {
   for (const SentPiece& piece : pieces) {
     RTS_ASSERT(piece.bytes > 0);
     RunSlot& s = slot_of(piece.run_index);
@@ -244,8 +247,7 @@ void LiveEngine::play(Time t, StepStats& st) {
   due.clear();
 }
 
-void LiveEngine::settle_capacity(StepStats& st) {
-  (void)st;
+void LiveEngine::settle_capacity() {
   // Evict the newest delivered bytes until the post-playout occupancy fits
   // (mirrors Client::settle_capacity byte for byte).
   while (occupancy_ > config_.client_buffer && !arrived_this_step_.empty()) {
@@ -275,26 +277,18 @@ void LiveEngine::maybe_retire(RunSlot& s) {
   // After playout the slot stores nothing (play zeroes it; later deliveries
   // go to late_lost), so accounted()==count means no byte is owed anywhere —
   // not in the server buffer, the retransmission queue, the link, or the
-  // client. Apply Client::finalize()'s per-run ledger math (unit slices:
-  // leftover losses cannot occur and slice counts equal byte counts).
+  // client.
   RTS_ASSERT(s.stored == 0);
-  const Weight value = s.run.weight;
-  if (s.overflow_lost > 0) {
-    report_.dropped_client_overflow.add(
-        s.overflow_lost, value * static_cast<Weight>(s.overflow_lost),
-        s.overflow_lost);
-  }
-  if (s.link_lost > 0) {
-    report_.lost_link.add(s.link_lost,
-                          value * static_cast<Weight>(s.link_lost), s.link_lost);
-  }
-  if (s.late_lost > 0) {
-    report_.dropped_client_late.add(
-        s.late_lost, value * static_cast<Weight>(s.late_lost), s.late_lost);
-  }
+  book_losses(s);
   s.active = false;
   --active_runs_;
   if (retired_runs_ != nullptr) retired_runs_->add(1);
+}
+
+void LiveEngine::book_losses(const RunSlot& s) {
+  add_units(report_.dropped_client_overflow, s.overflow_lost, s.run.weight);
+  add_units(report_.lost_link, s.link_lost, s.run.weight);
+  add_units(report_.dropped_client_late, s.late_lost, s.run.weight);
 }
 
 void LiveEngine::abort_residual() {
@@ -303,28 +297,12 @@ void LiveEngine::abort_residual() {
   for (RunSlot& s : slots_) {
     if (!s.active) continue;
     // Classify what is already terminal exactly as maybe_retire would...
-    const Weight value = s.run.weight;
-    if (s.overflow_lost > 0) {
-      report_.dropped_client_overflow.add(
-          s.overflow_lost, value * static_cast<Weight>(s.overflow_lost),
-          s.overflow_lost);
-    }
-    if (s.link_lost > 0) {
-      report_.lost_link.add(s.link_lost,
-                            value * static_cast<Weight>(s.link_lost),
-                            s.link_lost);
-    }
-    if (s.late_lost > 0) {
-      report_.dropped_client_late.add(
-          s.late_lost, value * static_cast<Weight>(s.late_lost), s.late_lost);
-    }
+    book_losses(s);
     // ...and everything still owed (client-stored, server-buffered, in
     // flight, queued for retransmission) becomes residual in one number.
     const Bytes rem = s.run.count - s.accounted();
     RTS_ASSERT(rem >= 0);
-    if (rem > 0) {
-      report_.residual.add(rem, value * static_cast<Weight>(rem), rem);
-    }
+    add_units(report_.residual, rem, s.run.weight);
     occupancy_ -= s.stored;
     s.stored = 0;
     s.active = false;

@@ -158,12 +158,16 @@ class LiveEngine {
     return s;
   }
   void admit_frame(const IngestFrame& frame, StepStats& st);
-  void deliver(Time t, std::span<const SentPiece> pieces, StepStats& st);
+  void deliver(Time t, std::span<const SentPiece> pieces);
   void play(Time t, StepStats& st);
-  void settle_capacity(StepStats& st);
-  /// Retires `s` if every byte is terminal and playout has passed: applies
-  /// Client::finalize()'s per-run ledger math to report_ and frees the slot.
+  void settle_capacity();
+  /// Retires `s` if every byte is terminal and playout has passed: books its
+  /// losses and frees the slot.
   void maybe_retire(RunSlot& s);
+  /// Client::finalize()'s per-run ledger math for overflow, link and late
+  /// losses (unit slices: leftover losses cannot occur and slice counts
+  /// equal byte counts).
+  void book_losses(const RunSlot& s);
 
   EngineConfig config_;
   obs::Telemetry telemetry_;

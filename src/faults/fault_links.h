@@ -104,8 +104,8 @@ class GilbertElliottLink final : public Link {
   /// spans cannot change what it erases.
   Time next_activity(Time now) const override;
   /// Replays the chain through the skipped span — the per-step deliver()
-  /// polls the slot loop would have issued — so transition draws and burst-
-  /// length records land exactly as they would have, step by step.
+  /// polls the skipped steps would have issued — so transition draws and
+  /// burst-length records land exactly as they would have, step by step.
   void advance_to(Time t) override {
     ensure_state(t);
     inner_->advance_to(t);

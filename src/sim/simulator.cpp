@@ -36,24 +36,6 @@ Bytes client_dropped_so_far(const Client& client) {
          client.leftover_bytes_so_far();
 }
 
-/// Binds the run loop's lambdas to the ops interface run_event_driven()
-/// expects (core/event_engine.h). Holds references: the lambdas capture the
-/// loop state by reference and live for the whole run.
-template <typename More, typename Quiescent, typename Collect, typename Absorb,
-          typename Live>
-struct EngineOps {
-  More& more_fn;
-  Quiescent& quiescent_fn;
-  Collect& collect_fn;
-  Absorb& absorb_fn;
-  Live& live_fn;
-  bool more(Time t) { return more_fn(t); }
-  bool quiescent(Time t) { return quiescent_fn(t); }
-  void collect_events(Time t, EventQueue& queue) { collect_fn(t, queue); }
-  void absorb_span(Time t0, Time t1) { absorb_fn(t0, t1); }
-  void live_step(Time t) { live_fn(t); }
-};
-
 ServerConfig server_config(const SimConfig& config) {
   ServerConfig sc{.buffer = config.server_buffer,
                   .rate = config.rate,
@@ -202,11 +184,6 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   std::vector<SentPiece> pieces;
   Time t = 0;
 
-  const auto more = [&](Time now) {
-    return now <= last_playout || !server_.idle() || !link_->idle() ||
-           client_.occupancy() > 0;  // timer-mode playout can trail the offset
-  };
-
   const auto live_step = [&](Time now) {
     RTS_ASSERT(now <= limit + client_.stall_steps());
     if (rec != nullptr) rec->begin_step(now);
@@ -301,79 +278,80 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     if (pieces.capacity() < delivered.capacity()) pieces = std::move(delivered);
   };
 
-  if (config_.engine == EngineKind::SlotStepped) {
-    for (; more(t); ++t) live_step(t);
-  } else {
-    // Event-driven loop (core/event_engine.h): same live_step body, same
-    // exit condition, but quiescent spans between events are absorbed
-    // wholesale instead of stepped through.
-    const auto quiescent = [&](Time /*now*/) {
-      return server_.idle() && client_.occupancy() == 0;
-    };
-    const auto collect_events = [&](Time now, EventQueue& queue) {
-      const Time arrival = cursor.next_arrival();
-      if (arrival != kNever) queue.push({arrival, EventKind::Arrival});
-      // next_activity folds the fault decorators' state events (NACK
-      // feedback due, throttle windows) into the drain bound.
-      const Time drain = link_->next_activity(now);
-      if (drain != kNever) queue.push({drain, EventKind::Drain});
-      const Time deadline = client_.next_playout_event(now);
-      if (deadline != kNever) queue.push({deadline, EventKind::Deadline});
-      queue.push({last_playout + 1, EventKind::Horizon});
-    };
-    const auto absorb_span = [&](Time t0, Time t1) {
-      RTS_ASSERT(t0 <= limit + client_.stall_steps());
-      const std::int64_t skipped = t1 - t0;
-      // A drop burst cannot straddle a quiescent span: the span's first
-      // no-drop step ends it, exactly where the slot loop would flush.
-      if (burst_hist != nullptr && drop_burst > 0) {
-        burst_hist->record(drop_burst);
-        drop_burst = 0;
+  const auto absorb_span = [&](Time t0, Time t1) {
+    RTS_ASSERT(t0 <= limit + client_.stall_steps());
+    const std::int64_t skipped = t1 - t0;
+    // A drop burst cannot straddle a quiescent span: the span's first
+    // no-drop step ends it.
+    if (burst_hist != nullptr && drop_burst > 0) {
+      burst_hist->record(drop_burst);
+      drop_burst = 0;
+    }
+    // Autonomous link state (the Gilbert-Elliott chain) evolves with
+    // time, not traffic: replay the per-step deliver() polls the skipped
+    // steps would have issued, so RNG consumption and burst-length records
+    // do not depend on where spans fall.
+    link_->advance_to(t1 - 1);
+    server_.record_idle_steps(skipped);
+    client_.record_idle_steps(skipped);
+    if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
+    // Observers see every step: back-fill the all-zero steps so step
+    // traces, schedule recordings and incident windows hold one record
+    // per step, as the deque oracle's do.
+    const bool link_idle = link_->idle();  // constant across the span
+    for (Time s = t0; s < t1; ++s) {
+      if (rec != nullptr) {
+        rec->begin_step(s);
+        rec->step().server_occupancy = 0;
+        rec->step().client_occupancy = 0;
       }
-      // Autonomous link state (the Gilbert-Elliott chain) evolves with
-      // time, not traffic: replay the per-step deliver() polls the slot
-      // loop would have issued, so RNG consumption and burst-length records
-      // stay draw-for-draw identical.
-      link_->advance_to(t1 - 1);
-      server_.record_idle_steps(skipped);
-      client_.record_idle_steps(skipped);
-      if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
-      // Observers see every slot: back-fill the all-zero steps so step
-      // traces, schedule recordings and incident windows stay
-      // byte-identical to the slot loop's.
-      const bool link_idle = link_->idle();  // constant across the span
-      for (Time s = t0; s < t1; ++s) {
-        if (rec != nullptr) {
-          rec->begin_step(s);
-          rec->step().server_occupancy = 0;
-          rec->step().client_occupancy = 0;
-        }
-        if (recorder != nullptr) {
-          obs::StepRecord step;
-          step.t = s;
-          step.link_idle = link_idle;
-          recorder->record(step);
-        }
-        if (tracer != nullptr) {
-          obs::Json event = obs::Json::object();
-          event["type"] = "step";
-          event["t"] = s;
-          event["arrived"] = 0;
-          event["sent"] = 0;
-          event["delivered"] = 0;
-          event["played"] = 0;
-          event["dropped_server"] = 0;
-          event["dropped_client"] = 0;
-          event["retransmitted"] = 0;
-          event["server_occupancy"] = 0;
-          event["client_occupancy"] = 0;
-          event["stalled"] = false;
-          tracer->write(event);
-        }
+      if (recorder != nullptr) {
+        obs::StepRecord step;
+        step.t = s;
+        step.link_idle = link_idle;
+        recorder->record(step);
       }
-    };
-    t = run_event_driven(
-        t, EngineOps{more, quiescent, collect_events, absorb_span, live_step});
+      if (tracer != nullptr) {
+        obs::Json event = obs::Json::object();
+        event["type"] = "step";
+        event["t"] = s;
+        event["arrived"] = 0;
+        event["sent"] = 0;
+        event["delivered"] = 0;
+        event["played"] = 0;
+        event["dropped_server"] = 0;
+        event["dropped_client"] = 0;
+        event["retransmitted"] = 0;
+        event["server_occupancy"] = 0;
+        event["client_occupancy"] = 0;
+        event["stalled"] = false;
+        tracer->write(event);
+      }
+    }
+  };
+
+  // A step at which the server and client hold nothing opens a span up to
+  // the earliest thing that can happen: the next arrival, the link's next
+  // delivery or NACK (fault decorators fold their state changes into
+  // next_activity), the next playout event, or one past the nominal
+  // playout range, where the run may end. Only a strictly later bound
+  // opens a span; an event due now makes this a live step, which runs the
+  // full pipeline. The run continues while anything is buffered; timer-mode
+  // playout can trail the offset.
+  while (t <= last_playout || !server_.idle() || !link_->idle() ||
+         client_.occupancy() > 0) {
+    Time next = t;
+    if (server_.idle() && client_.occupancy() == 0) {
+      next = std::min({cursor.next_arrival(), link_->next_activity(t),
+                       client_.next_playout_event(t), last_playout + 1});
+    }
+    if (next > t) {
+      absorb_span(t, next);
+      t = next;
+    } else {
+      live_step(t);
+      ++t;
+    }
   }
   if (burst_hist != nullptr && drop_burst > 0) {
     burst_hist->record(drop_burst);  // a burst running into the drain tail
@@ -410,10 +388,9 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
 
 SimReport simulate(const Stream& stream, const Plan& plan,
                    std::string_view policy_name, Time link_delay,
-                   obs::Telemetry telemetry, EngineKind engine) {
+                   obs::Telemetry telemetry) {
   SimConfig config = SimConfig::balanced(plan, link_delay);
   config.telemetry = telemetry;
-  config.engine = engine;
   SmoothingSimulator simulator(stream, config, make_policy(policy_name));
   return simulator.run();
 }

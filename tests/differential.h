@@ -1,22 +1,19 @@
-// Three-way differential harness: the deque-based reference oracle
-// (reference_core.h) vs the slot-stepped production core vs the
-// event-driven production core (core/event_engine.h) on one instance.
+// Differential harness: the deque-based reference oracle (reference_core.h)
+// vs the production core (sim/simulator.h) on one instance.
 //
-// Per run the harness captures four artifacts:
-//   - the SimReport (operator==: every tally, breakdown, maximum and
-//     invariant-violation count),
-//   - the JSONL trace (config / violation / step / run events — the
-//     event core back-fills one zero-delta step event per skipped slot,
-//     so the traces are comparable line-for-line),
-//   - the Registry snapshot, to_json(/*include_timers=*/false) — the
-//     byte-identity determinism unit (span timers measure wall clock and
-//     are quarantined, DESIGN.md Sect. 8),
-//   - the FlightRecorder incident list plus its step/trigger counters.
+// Both runs must produce the same SimReport (operator==: every tally,
+// breakdown, maximum and invariant-violation count) and the same JSONL trace
+// (config / violation / step / run events). The production core absorbs
+// quiescent spans and back-fills one zero-delta step event per skipped
+// step, so its trace compares line for line against the oracle's, which
+// visits every step.
 //
-// The reference oracle carries no registry or recorder, so the oracle
-// legs compare report + trace, while the slot-vs-event leg compares all
-// four artifacts. Failures name the disagreeing engine pair and print
-// the caller's reproducer (normally testgen::describe_instance).
+// The oracle carries no registry or flight recorder: it predates the
+// observability plane on purpose and stays simple enough to trust by
+// inspection. For those observers the harness checks the production run's
+// back-fill directly — the client and server occupancy histograms and the
+// recorder's ring each take exactly one sample per step. Failures print the
+// caller's reproducer (normally testgen::describe_instance).
 
 #pragma once
 
@@ -39,161 +36,121 @@
 
 namespace rtsmooth::difftest {
 
-/// Builds a fresh link for one engine run. Links are stateful and consumed
-/// by the simulator, so every engine leg needs its own copy — factories
-/// must return identically-seeded links on every call. Empty: each
-/// simulator constructs its own default FixedDelayLink.
+/// Builds a fresh link for one run. Links are stateful and consumed by the
+/// simulator, so every run needs its own copy — factories must return
+/// identically-seeded links on every call. Empty: each simulator
+/// constructs its own default FixedDelayLink.
 using LinkFactory = std::function<std::unique_ptr<Link>()>;
 
-/// Everything one engine run produces that byte-identity pins.
-struct EngineArtifacts {
+/// What one run produces that the harness checks. The sample counts stay 0
+/// for the oracle, which has no registry or recorder.
+struct RunArtifacts {
   SimReport report;
-  std::string trace;      ///< JSONL, one event per line
-  std::string registry;   ///< Registry::to_json(false).dump()
-  std::string incidents;  ///< incident documents, one JSON line each
+  std::string trace;  ///< JSONL, one event per line
+  std::int64_t client_occupancy_samples = 0;
+  std::int64_t server_occupancy_samples = 0;
   std::int64_t steps_recorded = 0;
-  std::int64_t triggers_total = 0;
 };
 
-/// Small window / few incidents: enough to catch a divergence without
-/// making fuzz iterations pay for a 256-step ring.
-inline obs::FlightRecorderConfig differential_recorder_config() {
-  obs::FlightRecorderConfig config;
-  config.window = 48;
-  config.max_incidents = 4;
-  return config;
-}
-
-/// One production run (slot-stepped or event-driven) with the full
-/// observability plane attached.
-inline EngineArtifacts run_engine(const Stream& stream,
-                                  const sim::SimConfig& config,
-                                  std::string_view policy,
-                                  sim::EngineKind engine,
-                                  const LinkFactory& link = {}) {
+/// One production run with the full observability plane attached.
+inline RunArtifacts run_engine(const Stream& stream,
+                               const sim::SimConfig& config,
+                               std::string_view policy,
+                               const LinkFactory& link = {}) {
   std::ostringstream trace;
   obs::TraceWriter writer(trace);
   obs::Registry registry;
-  obs::FlightRecorder recorder(differential_recorder_config());
+  // Small window / few incidents: enough to exercise the ring without
+  // making fuzz iterations pay for a 256-step one.
+  obs::FlightRecorderConfig recorder_config;
+  recorder_config.window = 48;
+  recorder_config.max_incidents = 4;
+  obs::FlightRecorder recorder(recorder_config);
   sim::SimConfig cfg = config;
-  cfg.engine = engine;
   cfg.telemetry.tracer = &writer;
   cfg.telemetry.registry = &registry;
   cfg.telemetry.recorder = &recorder;
   sim::SmoothingSimulator simulator(stream, cfg, make_policy(policy),
                                     link ? link() : nullptr);
-  EngineArtifacts out;
+  RunArtifacts out;
   out.report = simulator.run();
   out.trace = std::move(trace).str();
-  out.registry = registry.to_json(/*include_timers=*/false).dump();
-  std::ostringstream incidents;
-  for (const obs::Json& incident : recorder.incidents()) {
-    incidents << incident.dump() << '\n';
-  }
-  out.incidents = std::move(incidents).str();
+  out.client_occupancy_samples =
+      registry.histograms().at("client.occupancy").count();
+  out.server_occupancy_samples =
+      registry.histograms().at("server.occupancy").count();
   out.steps_recorded = recorder.steps_recorded();
-  out.triggers_total = recorder.triggers_total();
   return out;
 }
 
-/// The deque-oracle run. Registry / incident fields stay empty — the
-/// reference core predates the observability plane on purpose (it stays
-/// simple enough to trust by inspection).
-inline EngineArtifacts run_oracle(const Stream& stream,
-                                  const sim::SimConfig& config,
-                                  std::string_view policy,
-                                  const LinkFactory& link = {}) {
+/// The deque-oracle run.
+inline RunArtifacts run_oracle(const Stream& stream,
+                               const sim::SimConfig& config,
+                               std::string_view policy,
+                               const LinkFactory& link = {}) {
   std::ostringstream trace;
   obs::TraceWriter writer(trace);
   refcore::ReferenceSimulator simulator(stream, config, policy,
                                         link ? link() : nullptr);
-  EngineArtifacts out;
+  RunArtifacts out;
   out.report = simulator.run(&writer);
   out.trace = std::move(trace).str();
   return out;
 }
 
-/// Line-by-line diff of one artifact between two named engines: a
-/// full-string EXPECT_EQ would dump thousands of lines; the first
-/// divergent line is what identifies the bug and the failing pair.
-inline void expect_same_lines(std::string_view artifact,
-                              std::string_view label_a, const std::string& a,
-                              std::string_view label_b, const std::string& b,
+/// Line-by-line trace diff: a full-string EXPECT_EQ would dump thousands of
+/// lines; the first divergent line is what identifies the bug.
+inline void expect_same_trace(const std::string& reference,
+                              const std::string& engine,
                               const std::string& reproducer) {
-  if (a == b) return;
-  std::istringstream a_in(a);
-  std::istringstream b_in(b);
-  std::string a_line;
-  std::string b_line;
+  if (reference == engine) return;
+  std::istringstream ref_in(reference);
+  std::istringstream eng_in(engine);
+  std::string ref_line;
+  std::string eng_line;
   std::size_t line = 0;
   while (true) {
-    const bool a_ok = static_cast<bool>(std::getline(a_in, a_line));
-    const bool b_ok = static_cast<bool>(std::getline(b_in, b_line));
+    const bool ref_ok = static_cast<bool>(std::getline(ref_in, ref_line));
+    const bool eng_ok = static_cast<bool>(std::getline(eng_in, eng_line));
     ++line;
-    if (!a_ok && !b_ok) break;
-    if (a_ok != b_ok || a_line != b_line) {
-      ADD_FAILURE() << artifact << " divergence (" << label_a << " vs "
-                    << label_b << ") at line " << line << "\n  " << label_a
-                    << ": " << (a_ok ? a_line : std::string("<end>"))
-                    << "\n  " << label_b << ": "
-                    << (b_ok ? b_line : std::string("<end>")) << "\n"
+    if (!ref_ok && !eng_ok) break;
+    if (ref_ok != eng_ok || ref_line != eng_line) {
+      ADD_FAILURE() << "trace divergence (reference vs engine) at line "
+                    << line << "\n  reference: "
+                    << (ref_ok ? ref_line : std::string("<end>"))
+                    << "\n  engine: "
+                    << (eng_ok ? eng_line : std::string("<end>")) << "\n"
                     << reproducer;
       return;
     }
   }
-  ADD_FAILURE() << artifact << " mismatch (" << label_a << " vs " << label_b
-                << ") with no differing line\n" << reproducer;
+  ADD_FAILURE() << "trace mismatch (reference vs engine) with no differing "
+                   "line\n"
+                << reproducer;
 }
 
-/// Slot vs event: full-artifact byte-identity (report, trace, registry
-/// snapshot, incident list and recorder counters).
-inline void expect_engines_identical(const EngineArtifacts& slot,
-                                     const EngineArtifacts& event,
-                                     const std::string& reproducer) {
-  EXPECT_TRUE(slot.report == event.report)
-      << "SimReport mismatch (slot vs event)\n" << reproducer;
-  expect_same_lines("trace", "slot", slot.trace, "event", event.trace,
-                    reproducer);
-  expect_same_lines("registry", "slot", slot.registry, "event",
-                    event.registry, reproducer);
-  expect_same_lines("incidents", "slot", slot.incidents, "event",
-                    event.incidents, reproducer);
-  EXPECT_EQ(slot.steps_recorded, event.steps_recorded)
-      << "flight-recorder step count mismatch (slot vs event)\n"
-      << reproducer;
-  EXPECT_EQ(slot.triggers_total, event.triggers_total)
-      << "flight-recorder trigger count mismatch (slot vs event)\n"
-      << reproducer;
-}
-
-/// The full three-way check. `link` builds the production link (used for
-/// both the slot and event legs); `oracle_link` builds the
-/// reference-flavoured link for the deque oracle. Both default to each
-/// simulator's own FixedDelayLink.
-inline void expect_three_way(const Stream& stream,
-                             const sim::SimConfig& config,
-                             std::string_view policy,
-                             const std::string& reproducer,
-                             const LinkFactory& link = {},
-                             const LinkFactory& oracle_link = {}) {
-  const EngineArtifacts slot =
-      run_engine(stream, config, policy, sim::EngineKind::SlotStepped, link);
-  const EngineArtifacts event =
-      run_engine(stream, config, policy, sim::EngineKind::EventDriven, link);
-  const EngineArtifacts oracle =
-      run_oracle(stream, config, policy, oracle_link);
-  EXPECT_TRUE(oracle.report == slot.report)
-      << "SimReport mismatch (reference vs slot)\n" << reproducer;
-  expect_same_lines("trace", "reference", oracle.trace, "slot", slot.trace,
-                    reproducer);
-  // Diff the oracle against the event core directly too: when the two
-  // production engines agree with each other but not the oracle, the
-  // failure should still name both pairs.
-  EXPECT_TRUE(oracle.report == event.report)
-      << "SimReport mismatch (reference vs event)\n" << reproducer;
-  expect_same_lines("trace", "reference", oracle.trace, "event", event.trace,
-                    reproducer);
-  expect_engines_identical(slot, event, reproducer);
+/// The oracle-vs-engine check. `link` builds the production link;
+/// `oracle_link` builds the reference-flavoured link for the deque oracle.
+/// Both default to each simulator's own FixedDelayLink.
+inline void expect_matches_oracle(const Stream& stream,
+                                  const sim::SimConfig& config,
+                                  std::string_view policy,
+                                  const std::string& reproducer,
+                                  const LinkFactory& link = {},
+                                  const LinkFactory& oracle_link = {}) {
+  const RunArtifacts engine = run_engine(stream, config, policy, link);
+  const RunArtifacts oracle = run_oracle(stream, config, policy, oracle_link);
+  EXPECT_TRUE(oracle.report == engine.report)
+      << "SimReport mismatch (reference vs engine)\n" << reproducer;
+  expect_same_trace(oracle.trace, engine.trace, reproducer);
+  // Observer back-fill: skipped steps must still land one sample each.
+  const std::int64_t steps = engine.report.steps;
+  EXPECT_EQ(engine.client_occupancy_samples, steps)
+      << "client.occupancy samples != steps\n" << reproducer;
+  EXPECT_EQ(engine.server_occupancy_samples, steps)
+      << "server.occupancy samples != steps\n" << reproducer;
+  EXPECT_EQ(engine.steps_recorded, steps)
+      << "flight-recorder steps != steps\n" << reproducer;
 }
 
 }  // namespace rtsmooth::difftest

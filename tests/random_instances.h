@@ -83,7 +83,7 @@ inline sim::SimConfig random_config(Rng& rng, const Stream& stream) {
 
 // ---------------------------------------------------------------------------
 // Corner-case instances. The uniform generator above rarely hits the exact
-// boundaries the event-driven core's skip logic pivots on, so the fuzz
+// boundaries the simulator's span skipping pivots on, so the fuzz
 // suites mix in targeted shapes: each Corner is a (stream, config) family
 // that pins one boundary. Like the uniform generator, everything is a pure
 // function of the seed.

@@ -1,12 +1,11 @@
-// Differential equivalence suite, three ways: the deque-based reference
-// oracle in reference_core.h vs the optimized slot-stepped core (ring
-// buffers, recycled piece vectors, monotone playout cursor — DESIGN.md
-// Sect. 12) vs the event-driven core (core/event_engine.h).
+// Differential equivalence suite: the deque-based reference oracle in
+// reference_core.h vs the optimized production core (ring buffers, recycled
+// piece vectors, monotone playout cursor — DESIGN.md Sect. 12 — and
+// quiescent-span skipping, Sect. 17).
 //
 // Every comparison goes through tests/differential.h, which checks the
-// SimReport, the JSONL trace, and — between the two production engines —
-// the Registry snapshot and FlightRecorder incident list byte-for-byte.
-// Failures name the disagreeing engine pair and print a self-contained
+// SimReport and the JSONL trace byte for byte, plus the production run's
+// one-sample-per-step observer back-fill. Failures print a self-contained
 // reproducer (seed, expanded SliceRuns, SimConfig) via
 // testgen::describe_instance.
 
@@ -38,8 +37,8 @@ void expect_equivalent(const Stream& stream, const sim::SimConfig& config,
   const std::string reproducer =
       "policy=" + std::string(policy) + "\n" +
       testgen::describe_instance(seed, stream, config);
-  difftest::expect_three_way(stream, config, policy, reproducer, link,
-                             oracle_link);
+  difftest::expect_matches_oracle(stream, config, policy, reproducer, link,
+                                  oracle_link);
 }
 
 constexpr std::uint64_t kSeedBase = 0x5eedc0de;
@@ -145,7 +144,7 @@ TEST(Equivalence, StockClipBalancedPlanAllPolicies) {
 
 // The Gilbert-Elliott chain exercises bursty loss: long NACK trains land in
 // the retransmission queue in one step, which is where a ring-capacity bug
-// would hide — and its lazily-replayed state machine is the event core's
+// would hide — and its lazily-replayed state machine is span skipping's
 // hardest RNG-consumption case (DESIGN.md Sect. 17).
 TEST(Equivalence, StockClipGilbertElliottBurstLoss) {
   const Stream stream = trace::slice_frames(

@@ -1,18 +1,16 @@
-// The event-driven core (core/event_engine.h), pinned three ways:
+// Quiescent-span skipping in the simulator (DESIGN.md Sect. 17), pinned
+// three ways:
 //
-//   - EventQueue unit tests: (at, kind) ordering and the documented
-//     tie-break so span bounds are deterministic.
 //   - Link::next_activity() / advance_to() contracts per link flavour —
 //     including the Gilbert-Elliott lazy-replay property (batch catch-up
 //     consumes the identical RNG draws as per-step polling).
-//   - Slot-vs-event byte identity: full EngineArtifacts (SimReport, JSONL
-//     trace, registry snapshot, flight-recorder incidents) under
-//     ErasureLink, GilbertElliottLink, ThrottledLink and BoundedJitterLink
-//     across seeds, sparse and dense streams, recovery on and off; plus
-//     ScheduleRecorder step/run equality with the event core's back-fill.
-//   - sweep() grids on the event core: results and merged registry
-//     snapshots byte-identical to the slot core at RTSMOOTH_THREADS
-//     widths 1, 4 and 8 (mirroring the existing thread-invariance ctests).
+//   - Oracle-vs-engine agreement (tests/differential.h) under ErasureLink,
+//     GilbertElliottLink, ThrottledLink and BoundedJitterLink across seeds,
+//     sparse and dense streams, recovery on and off; plus the
+//     ScheduleRecorder back-fill on a sparse stream.
+//   - sweep() grids: results and merged registry snapshots byte-identical
+//     at RTSMOOTH_THREADS widths 1, 4 and 8 (mirroring the existing
+//     thread-invariance ctests).
 
 #include <gtest/gtest.h>
 
@@ -21,13 +19,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/event_engine.h"
 #include "core/link.h"
 #include "core/schedule.h"
 #include "differential.h"
 #include "faults/fault_links.h"
 #include "policies/policy_factory.h"
 #include "random_instances.h"
+#include "reference_core.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "trace/slicer.h"
@@ -36,55 +34,6 @@
 
 namespace rtsmooth {
 namespace {
-
-using sim::EngineKind;
-using sim::Event;
-using sim::EventKind;
-using sim::EventQueue;
-
-// ------------------------------------------------------------- EventQueue
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue queue;
-  queue.push({7, EventKind::Arrival});
-  queue.push({3, EventKind::Deadline});
-  queue.push({11, EventKind::Drain});
-  queue.push({5, EventKind::Horizon});
-  std::vector<Time> order;
-  while (!queue.empty()) {
-    order.push_back(queue.top().at);
-    queue.pop();
-  }
-  EXPECT_EQ(order, (std::vector<Time>{3, 5, 7, 11}));
-}
-
-TEST(EventQueue, TieBreaksByKindInDeclarationOrder) {
-  EventQueue queue;
-  queue.push({4, EventKind::Horizon});
-  queue.push({4, EventKind::Deadline});
-  queue.push({4, EventKind::Arrival});
-  queue.push({4, EventKind::FaultState});
-  queue.push({4, EventKind::Drain});
-  std::vector<EventKind> order;
-  while (!queue.empty()) {
-    order.push_back(queue.top().kind);
-    queue.pop();
-  }
-  EXPECT_EQ(order,
-            (std::vector<EventKind>{EventKind::Arrival, EventKind::Drain,
-                                    EventKind::Deadline,
-                                    EventKind::FaultState,
-                                    EventKind::Horizon}));
-}
-
-TEST(EventQueue, ClearEmptiesTheQueue) {
-  EventQueue queue;
-  queue.push({1, EventKind::Arrival});
-  queue.push({2, EventKind::Drain});
-  EXPECT_EQ(queue.size(), 2u);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-}
 
 // ---------------------------------------------- Link::next_activity hooks
 
@@ -166,57 +115,65 @@ TEST(NextActivity, GilbertElliottAdvanceToMatchesPerStepPolling) {
   }
 }
 
-// ------------------------------------- slot vs event: full byte identity
+// ------------------------------------------------ oracle vs engine
 
-void expect_slot_event_identical(const Stream& stream,
-                                 const sim::SimConfig& config,
-                                 std::string_view policy,
-                                 const std::string& reproducer,
-                                 const difftest::LinkFactory& link = {}) {
-  const difftest::EngineArtifacts slot = difftest::run_engine(
-      stream, config, policy, EngineKind::SlotStepped, link);
-  const difftest::EngineArtifacts event = difftest::run_engine(
-      stream, config, policy, EngineKind::EventDriven, link);
-  difftest::expect_engines_identical(slot, event, reproducer);
-}
-
+/// One fault flavour, built over the production links or over the
+/// oracle's reference links. Both get the same seed, so both runs see the
+/// same fault pattern.
 struct LinkCase {
   const char* name;
-  std::function<std::unique_ptr<Link>(Time delay, std::uint64_t seed)> make;
+  std::function<std::unique_ptr<Link>(Time delay, std::uint64_t seed,
+                                      bool reference)>
+      make;
 };
+
+std::unique_ptr<Link> fixed_link(Time delay, bool reference) {
+  if (reference) {
+    return std::make_unique<refcore::ReferenceFixedDelayLink>(delay);
+  }
+  return std::make_unique<FixedDelayLink>(delay);
+}
 
 std::vector<LinkCase> fault_link_cases() {
   return {
       {"erasure",
-       [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
+       [](Time delay, std::uint64_t seed,
+          bool reference) -> std::unique_ptr<Link> {
          return std::make_unique<faults::ErasureLink>(
-             std::make_unique<FixedDelayLink>(delay), 0.15, Rng(seed));
+             fixed_link(delay, reference), 0.15, Rng(seed));
        }},
       {"gilbert-elliott",
-       [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
+       [](Time delay, std::uint64_t seed,
+          bool reference) -> std::unique_ptr<Link> {
          const faults::GilbertElliottConfig ge{.p_good_to_bad = 0.08,
                                                .p_bad_to_good = 0.3,
                                                .loss_good = 0.0,
                                                .loss_bad = 0.95};
          return std::make_unique<faults::GilbertElliottLink>(
-             std::make_unique<FixedDelayLink>(delay), ge, Rng(seed));
+             fixed_link(delay, reference), ge, Rng(seed));
        }},
       {"throttled",
-       [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
+       [](Time delay, std::uint64_t seed,
+          bool reference) -> std::unique_ptr<Link> {
          (void)seed;  // the throttle pattern is deterministic
          return std::make_unique<faults::ThrottledLink>(
-             std::make_unique<FixedDelayLink>(delay),
+             fixed_link(delay, reference),
              std::vector<Bytes>{900, 0, 0, 300, 0, 1500});
        }},
       {"jitter",
-       [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
+       [](Time delay, std::uint64_t seed,
+          bool reference) -> std::unique_ptr<Link> {
+         if (reference) {
+           return std::make_unique<refcore::ReferenceBoundedJitterLink>(
+               delay, 2, Rng(seed));
+         }
          return std::make_unique<BoundedJitterLink>(delay, 2, Rng(seed));
        }},
   };
 }
 
-/// The satellite matrix: every fault flavour × seeds × recovery on/off ×
-/// dense and sparse streams, each cell checked for full-artifact identity.
+/// The fault matrix: every fault flavour × seeds × recovery on/off × dense
+/// and sparse streams, each cell checked against the deque oracle.
 TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
   const std::vector<LinkCase> cases = fault_link_cases();
   const std::vector<std::string> policies = {"tail-drop", "greedy"};
@@ -246,11 +203,10 @@ TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
               " recovery=" + (recovery ? "on" : "off") +
               " policy=" + policy + "\n" +
               testgen::describe_instance(seed, stream, config);
-          expect_slot_event_identical(
+          difftest::expect_matches_oracle(
               stream, config, policy, reproducer,
-              [&link_case, &config, seed] {
-                return link_case.make(config.link_delay, seed);
-              });
+              [&] { return link_case.make(config.link_delay, seed, false); },
+              [&] { return link_case.make(config.link_delay, seed, true); });
           if (HasFailure()) return;  // one reproducer is enough
         }
       }
@@ -258,52 +214,66 @@ TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
   }
 }
 
-/// The event core back-fills one StepSets record per skipped slot, so a
-/// RunsAndSteps ScheduleRecorder must come out element-identical too.
+/// The simulator back-fills one StepSets record per skipped step: on a
+/// sparse stream the recorder must hold one record per step with
+/// consecutive t, zero occupancies wherever nothing was buffered or moved,
+/// and step and run totals that add up to the report's.
 TEST(EventEngineIdentity, ScheduleRecorderStepsAndRunsMatch) {
   Rng rng(0x5ced5ced);
   const Stream stream =
       testgen::corner_stream(rng, testgen::Corner::ZeroLengthBursts);
-  const sim::SimConfig base =
+  const sim::SimConfig config =
       testgen::corner_config(rng, stream, testgen::Corner::ZeroLengthBursts);
-  auto record = [&](EngineKind engine) {
-    sim::SimConfig config = base;
-    config.engine = engine;
-    sim::SmoothingSimulator simulator(stream, config,
-                                      make_policy("tail-drop"));
-    auto rec = std::make_unique<ScheduleRecorder>(
-        stream.run_count(), ScheduleRecorder::Level::RunsAndSteps);
-    (void)simulator.run(rec.get());
-    return rec;
-  };
-  const auto slot = record(EngineKind::SlotStepped);
-  const auto event = record(EngineKind::EventDriven);
-  ASSERT_EQ(slot->steps().size(), event->steps().size());
-  for (std::size_t i = 0; i < slot->steps().size(); ++i) {
-    ASSERT_TRUE(slot->steps()[i] == event->steps()[i])
-        << "StepSets divergence at index " << i
-        << " (t=" << slot->steps()[i].t << ")";
+  sim::SmoothingSimulator simulator(stream, config, make_policy("tail-drop"));
+  ScheduleRecorder rec(stream.run_count(),
+                       ScheduleRecorder::Level::RunsAndSteps);
+  const SimReport report = simulator.run(&rec);
+
+  ASSERT_EQ(static_cast<Time>(rec.steps().size()), report.steps);
+  Bytes arrived = 0;
+  Bytes played = 0;
+  std::int64_t quiescent = 0;
+  for (std::size_t i = 0; i < rec.steps().size(); ++i) {
+    const StepSets& step = rec.steps()[i];
+    ASSERT_EQ(step.t, static_cast<Time>(i));
+    arrived += step.arrived;
+    played += step.played;
+    // Entering empty with nothing arriving or delivered, a step can only
+    // leave both buffers empty — the state every skipped step records.
+    const bool was_empty =
+        i == 0 || (rec.steps()[i - 1].server_occupancy == 0 &&
+                   rec.steps()[i - 1].client_occupancy == 0);
+    if (was_empty && step.arrived == 0 && step.delivered == 0) {
+      ++quiescent;
+      ASSERT_EQ(step.server_occupancy, 0) << "t=" << step.t;
+      ASSERT_EQ(step.client_occupancy, 0) << "t=" << step.t;
+    }
   }
-  ASSERT_EQ(slot->run_count(), event->run_count());
-  for (std::size_t i = 0; i < slot->run_count(); ++i) {
-    ASSERT_TRUE(slot->run(i) == event->run(i))
-        << "RunOutcome divergence at run " << i;
+  EXPECT_GT(quiescent, 0) << "the sparse stream never went quiescent";
+  EXPECT_EQ(arrived, report.offered.bytes);
+  EXPECT_EQ(played, report.played.bytes);
+
+  std::int64_t played_slices = 0;
+  std::int64_t dropped_server_slices = 0;
+  for (std::size_t i = 0; i < rec.run_count(); ++i) {
+    played_slices += rec.run(i).played;
+    dropped_server_slices += rec.run(i).dropped_server;
   }
+  EXPECT_EQ(played_slices, report.played.slices);
+  EXPECT_EQ(dropped_server_slices, report.dropped_server.slices);
 }
 
-// -------------------------------------- sweep() grids on the event core
+// ---------------------------------------------------------- sweep() grids
 
-/// Registry-carrying sweep at a given engine and width; returns the result
-/// and the determinism unit of the merged snapshot.
+/// Registry-carrying sweep at a given width; returns the result and the
+/// determinism unit of the merged snapshot.
 std::pair<sim::SweepResult, std::string> run_grid(const Stream& stream,
-                                                  EngineKind engine,
                                                   unsigned threads) {
   obs::Registry registry;
   sim::SweepSpec spec;
   spec.axis = sim::SweepAxis::BufferMultiple;
   spec.values = {2.0, 3.0, 4.0};
   spec.policies = {"tail-drop", "greedy"};
-  spec.engine = engine;
   spec.threads = threads;
   spec.registry = &registry;
   sim::SweepResult result = sim::sweep(stream, spec);
@@ -311,36 +281,33 @@ std::pair<sim::SweepResult, std::string> run_grid(const Stream& stream,
           registry.to_json(/*include_timers=*/false).dump()};
 }
 
-/// Satellite invariance check: the event-core grid must equal the slot-core
-/// grid — including the merged registry snapshot — at every thread width.
-TEST(EventEngineSweep, GridMatchesSlotCoreAtEveryThreadWidth) {
+/// Width invariance: every grid — including the merged registry snapshot —
+/// must equal the width-1 grid.
+TEST(EventEngineSweep, GridMatchesWidthOneAtEveryThreadWidth) {
   const Stream stream = trace::slice_frames(
       trace::stock_clip("cnn-news", 60), trace::ValueModel::mpeg_default(),
       trace::Slicing::ByteSlices);
-  const auto [slot_result, slot_registry] =
-      run_grid(stream, EngineKind::SlotStepped, 1);
+  const auto [serial_result, serial_registry] = run_grid(stream, 1);
   for (const unsigned threads : {1u, 4u, 8u}) {
-    const auto [event_result, event_registry] =
-        run_grid(stream, EngineKind::EventDriven, threads);
-    EXPECT_TRUE(event_result.points == slot_result.points)
-        << "sweep points diverge (slot@1 vs event@" << threads << ")";
-    EXPECT_EQ(event_registry, slot_registry)
-        << "merged registry diverges (slot@1 vs event@" << threads << ")";
+    const auto [result, registry] = run_grid(stream, threads);
+    EXPECT_TRUE(result.points == serial_result.points)
+        << "sweep points diverge (width 1 vs " << threads << ")";
+    EXPECT_EQ(registry, serial_registry)
+        << "merged registry diverges (width 1 vs " << threads << ")";
   }
 }
 
-TEST(EventEngineSweep, FaultAxisMatchesSlotCore) {
+TEST(EventEngineSweep, FaultAxisMatchesWidthOne) {
   const Stream stream = trace::slice_frames(
       trace::stock_clip("cnn-news", 40), trace::ValueModel::mpeg_default(),
       trace::Slicing::ByteSlices);
-  auto run_axis = [&stream](EngineKind engine, unsigned threads) {
+  auto run_axis = [&stream](unsigned threads) {
     sim::SweepSpec spec;
     spec.axis = sim::SweepAxis::FaultSeverity;
     spec.values = {0.0, 0.1, 0.3};
     spec.policies = {"tail-drop"};
     spec.recovery.enabled = true;
     spec.recovery.max_retries = 2;
-    spec.engine = engine;
     spec.threads = threads;
     spec.link_factory = [](double severity, Time delay) {
       return std::make_unique<faults::ErasureLink>(
@@ -348,11 +315,10 @@ TEST(EventEngineSweep, FaultAxisMatchesSlotCore) {
     };
     return sim::sweep(stream, spec);
   };
-  const sim::SweepResult slot = run_axis(EngineKind::SlotStepped, 1);
+  const sim::SweepResult serial = run_axis(1);
   for (const unsigned threads : {1u, 4u}) {
-    const sim::SweepResult event = run_axis(EngineKind::EventDriven, threads);
-    EXPECT_TRUE(event.faults == slot.faults)
-        << "fault axis diverges (slot@1 vs event@" << threads << ")";
+    EXPECT_TRUE(run_axis(threads).faults == serial.faults)
+        << "fault axis diverges (width 1 vs " << threads << ")";
   }
 }
 

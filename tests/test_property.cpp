@@ -300,13 +300,13 @@ TEST(PropertyFuzz, SimulatorInvariantsOnRandomInstances) {
   }
 }
 
-/// Three-way engine agreement: the deque reference oracle, the slot-stepped
-/// core and the event-driven core must produce byte-identical SimReports
-/// and JSONL traces (and, between the two production engines, identical
-/// registry snapshots and flight-recorder incident lists) on fully random
-/// instances. One policy per round, rotating, keeps the nightly sanitizer
-/// budget linear in RTSMOOTH_PROP_ITERS.
-TEST(PropertyFuzz, ThreeWayEngineAgreementOnRandomInstances) {
+/// Oracle-vs-engine agreement: the deque reference oracle and the
+/// production core must produce byte-identical SimReports and JSONL traces,
+/// and the production run's registry and flight recorder must hold one
+/// sample per step, on fully random instances. One policy per round,
+/// rotating, keeps the nightly sanitizer budget linear in
+/// RTSMOOTH_PROP_ITERS.
+TEST(PropertyFuzz, OracleEngineAgreementOnRandomInstances) {
   const int rounds = prop_iters();
   const std::vector<std::string> policies = known_policies();
   for (int round = 0; round < rounds; ++round) {
@@ -316,12 +316,13 @@ TEST(PropertyFuzz, ThreeWayEngineAgreementOnRandomInstances) {
     const sim::SimConfig config = testgen::random_config(rng, stream);
     const std::string& policy =
         policies[static_cast<std::size_t>(round) % policies.size()];
-    difftest::expect_three_way(
+    difftest::expect_matches_oracle(
         stream, config, policy,
         "policy=" + policy + "\n" +
             testgen::describe_instance(seed, stream, config));
     if (HasFailure()) {
-      dump_reproducer("three_way_" + sanitize(policy), seed, stream, config);
+      dump_reproducer("oracle_engine_" + sanitize(policy), seed, stream,
+                      config);
       return;
     }
   }
@@ -330,8 +331,8 @@ TEST(PropertyFuzz, ThreeWayEngineAgreementOnRandomInstances) {
 /// Same agreement property on the targeted corner families of
 /// random_instances.h — zero-length bursts, deadline == horizon,
 /// single-slice streams, rate exactly equal to the peak arrival rate — the
-/// boundaries the event engine's skip logic pivots on.
-TEST(PropertyFuzz, ThreeWayEngineAgreementOnCornerInstances) {
+/// boundaries the simulator's span skipping pivots on.
+TEST(PropertyFuzz, OracleEngineAgreementOnCornerInstances) {
   const int rounds = prop_iters();
   const std::vector<std::string> policies = known_policies();
   constexpr std::size_t kCorners = std::size(testgen::kAllCorners);
@@ -346,13 +347,13 @@ TEST(PropertyFuzz, ThreeWayEngineAgreementOnCornerInstances) {
           testgen::corner_config(rng, stream, corner);
       const std::string& policy =
           policies[static_cast<std::size_t>(round) % policies.size()];
-      difftest::expect_three_way(
+      difftest::expect_matches_oracle(
           stream, config, policy,
           "corner=" + std::string(testgen::corner_name(corner)) +
               "\npolicy=" + policy + "\n" +
               testgen::describe_instance(seed, stream, config));
       if (HasFailure()) {
-        dump_reproducer("three_way_" +
+        dump_reproducer("oracle_engine_" +
                             sanitize(testgen::corner_name(corner)) + "_" +
                             sanitize(policy),
                         seed, stream, config);

@@ -125,17 +125,15 @@ TEST(Reconfig, SteadyStateEngineMatchesReferenceBatch) {
   // differential proves less than it claims.
   EXPECT_GT(batch.dropped_server.bytes, 0);
 
-  // The production cores replay the same schedule: the event-driven engine
-  // must equal the reference batch on every field and reconcile against
-  // the daemon's totals just like the slot core does.
-  sim::SimConfig event_config = sim_config_of(engine);
-  event_config.engine = sim::EngineKind::EventDriven;
-  sim::SmoothingSimulator event_sim(stream, event_config,
-                                    make_policy(engine.policy));
-  const SimReport event_batch = event_sim.run();
-  EXPECT_TRUE(event_batch == batch)
-      << "event-core batch diverges from the reference batch";
-  expect_reports_match(daemon.total_report(), event_batch);
+  // The production core replays the same schedule: it must equal the
+  // reference batch on every field and reconcile against the daemon's
+  // totals.
+  sim::SmoothingSimulator production(stream, sim_config_of(engine),
+                                     make_policy(engine.policy));
+  const SimReport production_batch = production.run();
+  EXPECT_TRUE(production_batch == batch)
+      << "production batch diverges from the reference batch";
+  expect_reports_match(daemon.total_report(), production_batch);
 }
 
 TEST(Reconfig, DrainAndReplanMatchesReferencePrefixPlusSuffix) {
@@ -227,29 +225,19 @@ TEST(Reconfig, DrainAndReplanMatchesReferencePrefixPlusSuffix) {
   expect_reports_match(daemon.total_report(), expected);
   EXPECT_EQ(daemon.total_report().offered.bytes, daemon.polled_bytes());
 
-  // The same epoch split replayed on the production cores: the slot and
-  // event engines must produce byte-identical per-epoch reports, and their
-  // sum must reconcile against the daemon's ingest ledger and conservation
-  // totals exactly like the reference sum above.
-  auto batch_sum = [&](sim::EngineKind engine) {
-    sim::SimConfig prefix_config = sim_config_of(first);
-    prefix_config.engine = engine;
-    sim::SmoothingSimulator prefix_sim(prefix_stream, prefix_config,
-                                       make_policy(first.policy));
-    SimReport total = prefix_sim.run();
-    sim::SimConfig suffix_config = sim_config_of(second);
-    suffix_config.engine = engine;
-    sim::SmoothingSimulator suffix_sim(suffix_stream, suffix_config,
-                                       make_policy(second.policy));
-    total += suffix_sim.run();
-    return total;
-  };
-  const SimReport slot_sum = batch_sum(sim::EngineKind::SlotStepped);
-  const SimReport event_sum = batch_sum(sim::EngineKind::EventDriven);
-  EXPECT_TRUE(slot_sum == event_sum)
-      << "slot vs event drain-and-replan batch sums diverge";
-  EXPECT_TRUE(event_sum.conserves());
-  expect_reports_match(daemon.total_report(), event_sum);
+  // The same epoch split replayed on the production core: the per-epoch
+  // sum must equal the reference sum and reconcile against the daemon's
+  // ingest ledger and conservation totals.
+  sim::SmoothingSimulator prefix_sim(prefix_stream, sim_config_of(first),
+                                     make_policy(first.policy));
+  SimReport production_sum = prefix_sim.run();
+  sim::SmoothingSimulator suffix_sim(suffix_stream, sim_config_of(second),
+                                     make_policy(second.policy));
+  production_sum += suffix_sim.run();
+  EXPECT_TRUE(production_sum == expected)
+      << "production drain-and-replan batch sum diverges from the reference";
+  EXPECT_TRUE(production_sum.conserves());
+  expect_reports_match(daemon.total_report(), production_sum);
 }
 
 TEST(Reconfig, ManyReconfigsConserveWithBoundedLag) {
