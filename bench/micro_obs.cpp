@@ -1,9 +1,17 @@
 // Microbenchmarks (google-benchmark) guarding the telemetry layer's cost
-// contract (DESIGN.md): a default-constructed (null) Telemetry handle must
-// leave the simulator's end-to-end throughput unchanged — compare
-// BM_SimulateNoTelemetry against BM_SimulateNullHandle — while the enabled
-// path's absolute overhead is tracked by BM_SimulateTelemetryOn. The
-// micro-op benches bound the per-call cost of the individual instruments.
+// contract (DESIGN.md Sect. 10): a default-constructed (null) Telemetry
+// handle must leave the simulator's end-to-end throughput unchanged —
+// compare BM_SimulateNoTelemetry against BM_SimulateNullHandle — and a
+// registry-instrumented run must stay within 1.25x of the null handle:
+// BM_SimulateTelemetryOn / BM_SimulateNullHandle is an in-process ratio,
+// so it holds on any host (CI gates it at 1.35x for shared-runner noise).
+// That ratio rests on two hot-path choices: the per-step "server.step" and
+// "policy.drop" Spans time only every obs::kStepTimerPeriod-th step through
+// timers resolved once per run, and power-of-two exponential histograms
+// find their bucket with one bit_width. The micro-op benches bound the
+// per-call cost of the individual instruments, both histogram bucket paths
+// (BM_HistogramRecord: bit_width; BM_HistogramRecordLinear: binary search)
+// and an enabled Span's clock reads.
 
 #include <benchmark/benchmark.h>
 
@@ -118,6 +126,20 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// Linear specs keep the binary search over the bounds.
+void BM_HistogramRecordLinear(benchmark::State& state) {
+  obs::Registry registry;
+  obs::Histogram& histogram = registry.histogram(
+      "bench.histogram", obs::HistogramSpec::linear(3200, 32));
+  std::int64_t value = 1;
+  for (auto _ : state) {
+    histogram.record(value);
+    value = (value * 5 + 3) % 100000;  // wander across buckets
+    benchmark::DoNotOptimize(&histogram);
+  }
+}
+BENCHMARK(BM_HistogramRecordLinear);
+
 void BM_FlightRecorderRecord(benchmark::State& state) {
   obs::FlightRecorder recorder;  // default 256-step window, no trigger
   obs::StepRecord step;
@@ -132,18 +154,22 @@ BENCHMARK(BM_FlightRecorderRecord);
 
 void BM_SpanDisabled(benchmark::State& state) {
   const obs::Telemetry telemetry;  // null: Span must not read the clock
+  obs::Histogram* timer = telemetry.timer("bench.span");
   for (auto _ : state) {
-    const obs::Span span(telemetry, "bench.span");
+    const obs::Span span(timer);
     benchmark::DoNotOptimize(&span);
   }
 }
 BENCHMARK(BM_SpanDisabled);
 
+// Two clock reads and one record into a timer resolved before the loop, as
+// the simulator's sampled step timers do.
 void BM_SpanEnabled(benchmark::State& state) {
   obs::Registry registry;
   const obs::Telemetry telemetry{.registry = &registry};
+  obs::Histogram* timer = telemetry.timer("bench.span");
   for (auto _ : state) {
-    const obs::Span span(telemetry, "bench.span");
+    const obs::Span span(timer);
     benchmark::DoNotOptimize(&span);
   }
 }

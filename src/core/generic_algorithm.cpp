@@ -51,7 +51,6 @@ void SmoothingServer::account_drop(const SliceRun& run, std::size_t run_index,
 }
 
 void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
-  telemetry_ = telemetry;
   if (telemetry.registry == nullptr) return;
   obs::Registry& reg = *telemetry.registry;
   // Eager creation keeps snapshots structurally identical across runs:
@@ -64,6 +63,7 @@ void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
   occupancy_hist_ = &reg.histogram("server.occupancy",
                                    obs::HistogramSpec::exponential(1, 32));
   max_occupancy_ = &reg.gauge("server.max_occupancy");
+  drop_timer_ = &reg.timer("policy.drop");
 }
 
 void SmoothingServer::write_off(const SentPiece& piece) {
@@ -169,7 +169,7 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
   // Eq. (3): shed whole slices until post-send occupancy is at most B.
   const Bytes target = config_.buffer + planned_send;
   if (buffer_.occupancy() > target) {
-    const obs::Span drop_span(telemetry_, "policy.drop");
+    const obs::Span drop_span(obs::sampled_step_timer(drop_timer_, t));
     if (shed_events_ != nullptr) shed_events_->add(1);
     policy_->shed(buffer_, target);
     RTS_ASSERT(buffer_.occupancy() <= target);

@@ -152,9 +152,10 @@ class SmoothingServer {
 
   /// Installs the telemetry handle (null by default: no cost). The server
   /// records per-step occupancy, send/retransmit/write-off counters, and a
-  /// "policy.drop" Span around each Eq. (3) shed. Instruments are resolved
-  /// once here, so the per-step cost with telemetry on is plain pointer
-  /// arithmetic, not map lookups.
+  /// "policy.drop" Span around the Eq. (3) shed of every step with
+  /// t % obs::kStepTimerPeriod == 0. Instruments, the timer included, are
+  /// resolved once here, so the per-step cost with telemetry on is plain
+  /// pointer arithmetic, not map lookups.
   void set_telemetry(obs::Telemetry telemetry);
 
   /// Moves whatever is still buffered or queued for retransmission into
@@ -185,7 +186,6 @@ class SmoothingServer {
   RingBuffer<RetxEntry> retx_queue_;
   LinkLossSink loss_sink_;
   DropSink drop_sink_;
-  obs::Telemetry telemetry_;
   // Instruments resolved by set_telemetry(); null while telemetry is off.
   obs::Counter* sent_bytes_ = nullptr;
   obs::Counter* retx_bytes_ = nullptr;
@@ -194,6 +194,7 @@ class SmoothingServer {
   obs::Counter* written_off_bytes_ = nullptr;
   obs::Histogram* occupancy_hist_ = nullptr;
   obs::Gauge* max_occupancy_ = nullptr;
+  obs::Histogram* drop_timer_ = nullptr;  ///< "policy.drop", sampled steps
   SimReport* current_report_ = nullptr;
   ScheduleRecorder* current_rec_ = nullptr;
   Time now_ = 0;

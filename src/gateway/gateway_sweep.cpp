@@ -90,7 +90,7 @@ GatewaySweepResult sweep(const GatewaySweepSpec& spec) {
       outcome->policy = spec.policies[q];
       tasks.push_back([&spec, &registries, point, outcome, k] {
         const obs::Telemetry tel = registries.at(k);
-        const obs::Span cell_span(tel, "gateway.sweep.cell");
+        const obs::Span cell_span(tel.timer("gateway.sweep.cell"));
         outcome->report = run_cell(spec, point->streams, point->rate,
                                    outcome->policy, tel);
       });

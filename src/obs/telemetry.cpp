@@ -40,23 +40,22 @@ Histogram::Histogram(HistogramSpec spec)
   for (std::size_t i = 1; i < spec_.bounds.size(); ++i) {
     RTS_EXPECTS(spec_.bounds[i - 1] < spec_.bounds[i]);
   }
+  const std::int64_t first = spec_.bounds.front();
+  if (first < 1 || !std::has_single_bit(static_cast<std::uint64_t>(first))) {
+    return;
+  }
+  for (std::size_t i = 1; i < spec_.bounds.size(); ++i) {
+    if (spec_.bounds[i - 1] > std::numeric_limits<std::int64_t>::max() / 2 ||
+        spec_.bounds[i] != spec_.bounds[i - 1] * 2) {
+      return;
+    }
+  }
+  pow2_shift_ = std::countr_zero(static_cast<std::uint64_t>(first));
 }
 
-void Histogram::record(std::int64_t value, std::int64_t weight) {
-  if (weight < 0) {
-    throw std::invalid_argument("Histogram: negative weight " +
-                                std::to_string(weight));
-  }
-  if (weight == 0) return;
-  const auto it =
-      std::lower_bound(spec_.bounds.begin(), spec_.bounds.end(), value);
-  const auto bucket =
-      static_cast<std::size_t>(it - spec_.bounds.begin());  // last = overflow
-  counts_[bucket] += weight;
-  count_ += weight;
-  sum_ += value * weight;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
+void Histogram::throw_negative_weight(std::int64_t weight) {
+  throw std::invalid_argument("Histogram: negative weight " +
+                              std::to_string(weight));
 }
 
 double Histogram::mean() const {
@@ -173,12 +172,11 @@ Json Registry::to_json(bool include_timers) const {
   return j;
 }
 
-Span::~Span() {
-  if (registry_ == nullptr) return;
+void Span::finish() {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
-  registry_->timer(name_).record(us);
+  timer_->record(us);
 }
 
 }  // namespace rtsmooth::obs

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -85,13 +86,30 @@ struct HistogramSpec {
 /// byte-weighted sample is record(value, bytes)). Tracks exact count, sum,
 /// min and max alongside the bucket counts, so bound checks (Lemma 3.2:
 /// max sojourn <= ceil(B/R)) need no bucket interpolation.
+///
+/// Bounds of the form first << i with `first` a power of two (every
+/// exponential spec in the library) are detected at construction, and
+/// record() finds the bucket with one bit_width instead of a binary search
+/// over the bounds; other specs use the binary search.
 class Histogram {
  public:
   explicit Histogram(HistogramSpec spec);
 
   /// Weight 0 is a no-op; a negative weight throws std::invalid_argument
-  /// (an un-count would silently corrupt every downstream sum).
-  void record(std::int64_t value, std::int64_t weight = 1);
+  /// (an un-count would silently corrupt every downstream sum). Inline:
+  /// the simulator records several samples per step.
+  void record(std::int64_t value, std::int64_t weight = 1) {
+    if (weight <= 0) {
+      if (weight < 0) throw_negative_weight(weight);
+      return;
+    }
+    const std::size_t bucket = bucket_of(value);  // last index = overflow
+    counts_[bucket] += weight;
+    count_ += weight;
+    sum_ += value * weight;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   std::int64_t count() const { return count_; }  ///< total recorded weight
   std::int64_t sum() const { return sum_; }      ///< sum of value * weight
@@ -114,12 +132,31 @@ class Histogram {
   bool operator==(const Histogram&) const = default;
 
  private:
+  [[noreturn]] static void throw_negative_weight(std::int64_t weight);
+
+  std::size_t bucket_of(std::int64_t value) const {
+    if (pow2_shift_ < 0) {
+      return static_cast<std::size_t>(
+          std::lower_bound(spec_.bounds.begin(), spec_.bounds.end(), value) -
+          spec_.bounds.begin());
+    }
+    // Bounds first << i: a value in (first << (k-1), first << k] has
+    // (value - 1) >> log2(first) in [2^(k-1), 2^k), whose bit width is k.
+    if (value <= spec_.bounds.front()) return 0;
+    const auto above = static_cast<std::uint64_t>(value - 1) >> pow2_shift_;
+    return std::min(static_cast<std::size_t>(std::bit_width(above)),
+                    spec_.bounds.size());
+  }
+
   HistogramSpec spec_;
   std::vector<std::int64_t> counts_;
   std::int64_t count_ = 0;
   std::int64_t sum_ = 0;
   std::int64_t min_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
+  /// log2(bounds[0]) when the bounds are bounds[0] << i with bounds[0] a
+  /// power of two; -1 selects the binary search. Derived from the spec.
+  int pow2_shift_ = -1;
 };
 
 /// Named metrics, ordered lexicographically in snapshots. Not thread-safe:
@@ -182,27 +219,46 @@ struct Telemetry {
     return registry != nullptr || tracer != nullptr || recorder != nullptr;
   }
   explicit operator bool() const { return enabled(); }
+
+  /// The registry's timer `name`, or null with no registry: what a Span
+  /// takes. Hot loops call this once and keep the pointer.
+  Histogram* timer(std::string_view name) const {
+    return registry != nullptr ? &registry->timer(name) : nullptr;
+  }
 };
 
 /// RAII wall-clock timer: records the scope's duration (microseconds) into
-/// `telemetry.registry->timer(name)` on destruction. With a null registry
-/// the constructor takes no clock reading — a disabled Span is two pointer
-/// stores.
+/// a pre-resolved timer histogram on destruction. A null timer disables
+/// it: the constructor takes no clock reading and the destructor one
+/// branch.
 class Span {
  public:
-  Span(const Telemetry& telemetry, std::string_view name)
-      : registry_(telemetry.registry), name_(name) {
-    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  explicit Span(Histogram* timer) : timer_(timer) {
+    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
-  ~Span();
+  ~Span() {
+    if (timer_ != nullptr) finish();
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  Registry* registry_;
-  std::string_view name_;  ///< sites pass string literals; Span never outlives them
+  void finish();
+
+  Histogram* timer_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Per-step timers (`server.step`, `policy.drop`) time only the steps with
+/// t % kStepTimerPeriod == 0. Most steps take well under a microsecond, so
+/// timing each one would cost more than the step; keying on the simulated
+/// time keeps the timed set deterministic.
+inline constexpr std::int64_t kStepTimerPeriod = 64;
+
+/// `timer` on a sampled step, null on every other: pass to a Span.
+inline Histogram* sampled_step_timer(Histogram* timer, std::int64_t t) {
+  return t % kStepTimerPeriod == 0 ? timer : nullptr;
+}
 
 }  // namespace rtsmooth::obs

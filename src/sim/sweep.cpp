@@ -127,13 +127,13 @@ SweepResult fault_axis_sweep(const Stream& stream, const SweepSpec& spec) {
     cells.annotate(k + 1, "underflow", "stall");
     tasks.push_back([&stream, &spec, &policy, &cells, plan, point, k] {
       const obs::Telemetry tel = cells.at(k);
-      const obs::Span cell_span(tel, "sweep.cell");
+      const obs::Span cell_span(tel.timer("sweep.cell"));
       point->skip = fault_run(stream, spec, plan, policy, point->severity,
                               UnderflowPolicy::Skip, tel);
     });
     tasks.push_back([&stream, &spec, &policy, &cells, plan, point, k] {
       const obs::Telemetry tel = cells.at(k + 1);
-      const obs::Span cell_span(tel, "sweep.cell");
+      const obs::Span cell_span(tel.timer("sweep.cell"));
       point->stall = fault_run(stream, spec, plan, policy, point->severity,
                                UnderflowPolicy::Stall, tel);
     });
@@ -186,7 +186,7 @@ SweepResult sweep(const Stream& stream, const SweepSpec& spec) {
       cells.annotate(k, "x", point->x);
       tasks.push_back([&stream, &spec, &cells, point, j, k] {
         const obs::Telemetry tel = cells.at(k);
-        const obs::Span cell_span(tel, "sweep.cell");
+        const obs::Span cell_span(tel.timer("sweep.cell"));
         point->policies[j].report =
             simulate(stream, point->plan, point->policies[j].policy,
                      spec.link_delay, tel);
@@ -197,7 +197,7 @@ SweepResult sweep(const Stream& stream, const SweepSpec& spec) {
       const std::size_t k = tasks.size();
       cells.annotate(k, "x", point->x);
       tasks.push_back([&stream, &cells, point, k] {
-        const obs::Span cell_span(cells.at(k), "sweep.cell");
+        const obs::Span cell_span(cells.at(k).timer("sweep.cell"));
         point->optimal =
             offline_optimal(stream, point->plan.buffer, point->plan.rate);
       });

@@ -25,6 +25,7 @@
 #include "daemon/rtsmoothd.h"
 #include "faults/fault_schedule.h"
 #include "obs/json.h"
+#include "obs/prometheus.h"
 
 namespace rtsmooth::daemon {
 namespace {
@@ -334,6 +335,26 @@ TEST(Daemon, ServesBoundedGeneratorCleanly) {
   EXPECT_TRUE(snap.at("admission").at("ledger_conserves").as_bool());
   EXPECT_TRUE(snap.at("report").at("conserves").as_bool());
   EXPECT_EQ(snap.at("stop_signal").as_int(), 0);
+}
+
+// The lateness gauge is updated only by late bytes; a run without any must
+// publish 0, not the empty gauge's INT64_MIN, in the registry and /metrics.
+TEST(Daemon, LosslessRunReportsZeroMaxLateness) {
+  GeneratorConfig gen;
+  gen.channels = 2;
+  gen.mean_frame_bytes = 64;
+  gen.max_frame_bytes = 256;
+  gen.min_frame_bytes = 8;
+  gen.seed = 7;
+  gen.frames_per_channel = 200;
+  Daemon daemon(balanced_options(/*rate=*/256, /*delay=*/4),
+                std::make_unique<GeneratorSource>(gen));
+  ASSERT_EQ(daemon.serve(), 0);
+  ASSERT_EQ(daemon.total_report().dropped_client_late.bytes, 0);
+  EXPECT_EQ(daemon.registry().gauges().at("client.max_lateness_steps").value(),
+            0);
+  EXPECT_EQ(obs::to_prometheus(daemon.registry()).find("-9223372036854775808"),
+            std::string::npos);
 }
 
 TEST(Daemon, OverloadEscalatesAndWritesValidIncidents) {

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -216,6 +218,60 @@ TEST(Histogram, NegativeWeightThrows) {
   EXPECT_EQ(h.count(), 0);  // the rejected record left no trace
 }
 
+// Power-of-two exponential specs take record()'s bit_width bucket path;
+// every other spec takes the binary search. Both must file each value
+// exactly where a lower_bound over the bounds does.
+TEST(Histogram, BitWidthBucketMatchesLowerBoundReference) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<HistogramSpec> specs = {
+      HistogramSpec::exponential(1, 1),  HistogramSpec::exponential(1, 16),
+      HistogramSpec::exponential(1, 32), HistogramSpec::exponential(64, 16),
+      HistogramSpec::exponential(3, 8),  // first not a power of two
+      HistogramSpec::linear(10, 5),
+  };
+  for (const HistogramSpec& spec : specs) {
+    SCOPED_TRACE("bounds " + std::to_string(spec.bounds.front()) + ".." +
+                 std::to_string(spec.bounds.back()));
+    std::vector<std::int64_t> values = {kMin, -1, 0, 1, kMax};
+    for (const std::int64_t b : spec.bounds) {
+      values.insert(values.end(), {b - 1, b, b + 1});
+    }
+    const auto reference_bucket = [&spec](std::int64_t v) {
+      return static_cast<std::size_t>(
+          std::lower_bound(spec.bounds.begin(), spec.bounds.end(), v) -
+          spec.bounds.begin());
+    };
+    // One histogram per value, so the extremes' sums cannot overflow.
+    for (const std::int64_t v : values) {
+      Histogram h(spec);
+      h.record(v);
+      std::vector<std::int64_t> expected(spec.bounds.size() + 1, 0);
+      expected[reference_bucket(v)] = 1;
+      EXPECT_EQ(h.counts(), expected) << "value " << v;
+      EXPECT_EQ(h.sum(), v);
+      EXPECT_EQ(h.min(), v);
+      EXPECT_EQ(h.max(), v);
+    }
+    // And all finite values into one, weighted, against a reference tally.
+    Histogram all(spec);
+    std::vector<std::int64_t> expected(spec.bounds.size() + 1, 0);
+    std::int64_t sum = 0;
+    std::int64_t weight = 1;
+    for (const std::int64_t v : values) {
+      if (v == kMin || v == kMax) continue;
+      all.record(v, weight);
+      expected[reference_bucket(v)] += weight;
+      sum += v * weight;
+      weight = weight % 7 + 1;
+    }
+    EXPECT_EQ(all.counts(), expected);
+    EXPECT_EQ(all.sum(), sum);
+    EXPECT_EQ(all.min(), -1);
+    EXPECT_EQ(all.max(), spec.bounds.back() + 1);
+  }
+}
+
 TEST(Histogram, MergeOfMismatchedSpecsThrows) {
   Histogram a(HistogramSpec{.bounds = {1, 10}});
   Histogram narrow(HistogramSpec{.bounds = {1}});
@@ -342,10 +398,10 @@ TEST(Telemetry, NullHandleIsDisabled) {
 TEST(Span, RecordsIntoTimerSectionOnlyWhenEnabled) {
   Registry reg;
   {
-    const Span span(Telemetry{.registry = &reg}, "scope");
+    const Span span(Telemetry{.registry = &reg}.timer("scope"));
   }
   {
-    const Span disabled(Telemetry{}, "scope");  // must be a no-op
+    const Span disabled(Telemetry{}.timer("scope"));  // must be a no-op
   }
   ASSERT_EQ(reg.timers().count("scope"), 1u);
   EXPECT_EQ(reg.timers().at("scope").count(), 1);
@@ -462,6 +518,31 @@ TEST(SimulatorTelemetry, InstrumentationDoesNotChangeResults) {
       sim::simulate(s, plan, "greedy", 1, Telemetry{.registry = &reg});
   EXPECT_EQ(bare, instrumented);
   EXPECT_FALSE(reg.empty());
+}
+
+// The per-step timers time only steps with t % kStepTimerPeriod == 0, and
+// sampling keys on simulated time, so the deterministic snapshot of a
+// shedding run is byte-identical across runs.
+TEST(SimulatorTelemetry, StepTimersAreSampledAndSnapshotsRepeat) {
+  const Stream s = clip(300);
+  const Plan plan = Planner::from_buffer_rate(s.max_frame_bytes(),
+                                              sim::relative_rate(s, 0.7));
+  sim::SimConfig config = sim::SimConfig::balanced(plan);
+  Registry reg;
+  config.telemetry = Telemetry{.registry = &reg};
+  const SimReport report = sim::simulate(s, config, "greedy");
+  const std::int64_t sheds = reg.counter("server.shed_events").value();
+  ASSERT_GT(sheds, 0) << "the clip must shed";
+
+  const std::int64_t step_samples = reg.timers().at("server.step").count();
+  EXPECT_GE(step_samples, 1);
+  EXPECT_LE(step_samples, report.steps / kStepTimerPeriod + 1);
+  EXPECT_LE(reg.timers().at("policy.drop").count(), sheds);
+
+  Registry again;
+  config.telemetry = Telemetry{.registry = &again};
+  sim::simulate(s, config, "greedy");
+  EXPECT_EQ(reg.to_json(false).dump(), again.to_json(false).dump());
 }
 
 // ------------------------------------------------------ JSONL trace shape
