@@ -1,8 +1,11 @@
 // Microbenchmarks (google-benchmark): off-line solver scaling — the
 // polymatroid greedy's O(n log T) on byte-slice clips and the Pareto DP on
-// whole-frame clips, across clip lengths.
+// whole-frame clips, across clip lengths, plus the quantized bracket on a
+// full-length whole-frame clip.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "microbench_main.h"
 
@@ -52,6 +55,36 @@ void BM_ParetoDp(benchmark::State& state) {
                           static_cast<std::int64_t>(frames));
 }
 BENCHMARK(BM_ParetoDp)->Arg(100)->Arg(250)->Arg(500);
+
+// Both DPs of the quantized bracket on a full 4800-frame whole-frame clip
+// at the average rate, buffer = Arg x the largest frame (the Fig. 5 and
+// paper_sweep operating points). `peak_states` is the lower DP's largest
+// frontier, from the exact solver on the rounded-up instance, which runs
+// the same DP.
+void BM_QuantizedBracket(benchmark::State& state) {
+  const Stream s = make_stream(trace::Slicing::WholeFrame, 4800);
+  const Bytes rate = sim::relative_rate(s, 1.0);
+  const Bytes buffer = state.range(0) * s.max_frame_bytes();
+  const Bytes quantum = std::max<Bytes>(256, buffer / 512);
+  for (auto _ : state) {
+    const auto bracket =
+        offline::quantized_optimal_bracket(s, buffer, rate, quantum);
+    benchmark::DoNotOptimize(bracket.lower);
+    benchmark::DoNotOptimize(bracket.upper);
+  }
+  std::vector<SliceRun> rounded_up(s.runs().begin(), s.runs().end());
+  for (SliceRun& run : rounded_up) {
+    run.slice_size = (run.slice_size + quantum - 1) / quantum;
+  }
+  const auto lower = offline::pareto_dp_optimal(
+      Stream::from_runs(std::move(rounded_up)), buffer / quantum,
+      rate / quantum);
+  state.counters["peak_states"] =
+      benchmark::Counter(static_cast<double>(lower.peak_states));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          4800);
+}
+BENCHMARK(BM_QuantizedBracket)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

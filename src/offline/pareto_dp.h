@@ -11,10 +11,17 @@
 // all future constraints monotonically), so pruning preserves optimality and
 // the result is exact.
 //
-// Cost: the frontier is small in practice (hundreds for MPEG-like streams);
-// `StateLimit` guards pathological growth — if it is ever hit, the solver
-// keeps the best `limit` states by weight and sets `exact = false` so
-// callers can tell an exact answer from a (still feasible) lower bound.
+// Cost: after pruning, the frontier is strictly increasing in both
+// occupancy and weight. Dropping a slice leaves it as it is and keeping it
+// shifts it by (size, weight), so both candidate lists are sorted and one
+// linear merge that skips dominated states builds the next frontier:
+// O(frontier) per slice, into a scratch vector reused across slices, so
+// nothing is sorted and nothing is allocated once the vectors have grown.
+// The per-step drain is a linear pass too. The frontier is small in
+// practice (hundreds for MPEG-like streams); `state_limit` guards
+// pathological growth — if it is ever hit, the solver keeps the `limit`
+// heaviest states (the last ones) and sets `exact = false` so callers can
+// tell an exact answer from a (still feasible) lower bound.
 
 #pragma once
 

@@ -34,13 +34,16 @@ std::vector<PolicyOutcome> run_policies(const Stream& stream, const Plan& plan,
 struct OptimalPoint {
   double weighted_loss = 0.0;
   double benefit_fraction = 1.0;
-  bool exact = true;  ///< false if the Pareto DP hit its state limit
+  /// False if the DP hit its state limit or the quantized bracket is open.
+  bool exact = true;
 
   bool operator==(const OptimalPoint&) const = default;
 };
 
 /// Off-line optimal for the server-side problem (buffer B, rate R): exact
-/// polymatroid greedy for unit slices, exact Pareto DP otherwise.
+/// polymatroid greedy for unit slices, exact Pareto DP for up to 256
+/// variable-size slices, and beyond that the midpoint of the quantized
+/// bracket (`exact` only when the bracket closes).
 OptimalPoint offline_optimal(const Stream& stream, Bytes buffer, Bytes rate);
 
 }  // namespace rtsmooth::sim

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/competitive.h"
 #include "offline/brute_force.h"
 #include "offline/feasibility.h"
@@ -180,6 +182,120 @@ TEST(UnitOptimal, EmptyStream) {
   EXPECT_DOUBLE_EQ(unit_optimal(s, 5, 1).benefit, 0.0);
 }
 
+// ------------------------------------------- Pareto DP reference (oracle)
+
+/// The sort-and-prune Pareto DP that the linear-merge solver replaced, kept
+/// as the differential reference (as the deque oracle is for the
+/// simulator). Every slice collects drop and keep candidates, sorts them by
+/// occupancy and prunes dominated states; the state limit keeps the
+/// heaviest states by weight.
+namespace reference {
+
+struct State {
+  Bytes occ;
+  Weight weight;
+};
+
+void prune(std::vector<State>& states) {
+  std::sort(states.begin(), states.end(), [](const State& a, const State& b) {
+    if (a.occ != b.occ) return a.occ < b.occ;
+    return a.weight > b.weight;
+  });
+  std::vector<State> kept;
+  Weight best = -1.0;
+  for (const State& s : states) {
+    if (s.weight > best) {
+      kept.push_back(s);
+      best = s.weight;
+    }
+  }
+  states = std::move(kept);
+}
+
+struct Item {
+  Bytes size;
+  Weight weight;
+};
+
+template <typename Resize>
+std::vector<std::vector<Item>> steps_of(const Stream& stream, Resize resize) {
+  std::vector<std::vector<Item>> steps(
+      static_cast<std::size_t>(stream.horizon()));
+  for (const SliceRun& run : stream.runs()) {
+    auto& list = steps[static_cast<std::size_t>(run.arrival)];
+    const Bytes size = resize(run.slice_size);
+    for (std::int64_t k = 0; k < run.count; ++k) {
+      list.push_back(Item{.size = size, .weight = run.weight});
+    }
+  }
+  return steps;
+}
+
+offline::ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
+                                Bytes buffer, Bytes rate,
+                                std::size_t state_limit) {
+  offline::ParetoDpResult result;
+  std::vector<State> frontier{State{.occ = 0, .weight = 0.0}};
+  for (const auto& arrivals : steps) {
+    for (const Item& item : arrivals) {
+      std::vector<State> next;
+      for (const State& s : frontier) {
+        next.push_back(s);
+        const Bytes occ = s.occ + item.size;
+        if (occ <= buffer + rate) {
+          next.push_back(State{.occ = occ, .weight = s.weight + item.weight});
+        }
+      }
+      prune(next);
+      if (next.size() > state_limit) {
+        std::nth_element(
+            next.begin(),
+            next.begin() + static_cast<std::ptrdiff_t>(state_limit),
+            next.end(),
+            [](const State& a, const State& b) { return a.weight > b.weight; });
+        next.resize(state_limit);
+        prune(next);
+        result.exact = false;
+      }
+      frontier = std::move(next);
+      result.peak_states = std::max(result.peak_states, frontier.size());
+    }
+    std::vector<State> next;
+    for (const State& s : frontier) {
+      const Bytes occ = std::max<Bytes>(0, s.occ - rate);
+      if (occ <= buffer) next.push_back(State{.occ = occ, .weight = s.weight});
+    }
+    prune(next);
+    frontier = std::move(next);
+  }
+  for (const State& s : frontier) {
+    result.benefit = std::max(result.benefit, s.weight);
+  }
+  return result;
+}
+
+offline::ParetoDpResult pareto_dp(const Stream& stream, Bytes buffer,
+                                  Bytes rate, std::size_t state_limit) {
+  if (stream.empty()) return {};
+  return dp_core(steps_of(stream, [](Bytes s) { return s; }), buffer, rate,
+                 state_limit);
+}
+
+/// The bracket's two DP values: lower (sizes up, capacity down) and upper
+/// (sizes down, capacity up).
+std::pair<Weight, Weight> bracket(const Stream& stream, Bytes buffer,
+                                  Bytes rate, Bytes quantum) {
+  const auto up = [quantum](Bytes s) { return (s + quantum - 1) / quantum; };
+  const auto down = [quantum](Bytes s) { return s / quantum; };
+  return {dp_core(steps_of(stream, up), buffer / quantum, rate / quantum,
+                  1u << 22)
+              .benefit,
+          dp_core(steps_of(stream, down), up(buffer), up(rate), 1u << 22)
+              .benefit};
+}
+
+}  // namespace reference
+
 // --------------------------------------------------------------- Pareto DP
 
 TEST(ParetoDp, WholeFramesUnderPressure) {
@@ -229,6 +345,63 @@ TEST(ParetoDp, StateLimitProducesLowerBound) {
   const auto capped = pareto_dp_optimal(s, 20, 3, /*state_limit=*/2);
   EXPECT_FALSE(capped.exact);
   EXPECT_LE(capped.benefit, exact.benefit + 1e-9);
+}
+
+TEST(ParetoDp, LinearMergeMatchesSortAndPruneReferenceBitwise) {
+  // Same floating-point additions and a unique Pareto set: the merge must
+  // reproduce the reference bit for bit, including the truncated (state
+  // limit) path and the bracket's 0-byte items (sizes below the quantum).
+  Rng rng(14);
+  int truncated = 0;
+  int zero_byte_items = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const Time horizon = rng.uniform_int(1, 14);
+    const Stream s =
+        trial % 6 == 0
+            ? analysis::random_unit_stream(rng, horizon, 4, 9.0)
+            : analysis::random_variable_stream(rng, horizon, 4, 9.0,
+                                               rng.uniform_int(1, 12));
+    const Bytes buffer = rng.uniform_int(1, 24);
+    const Bytes rate = rng.uniform_int(1, 8);
+    const std::size_t limit =
+        trial % 3 == 0 ? static_cast<std::size_t>(rng.uniform_int(2, 6))
+                       : std::size_t{1} << 20;
+    const auto got = pareto_dp_optimal(s, buffer, rate, limit);
+    const auto want = reference::pareto_dp(s, buffer, rate, limit);
+    EXPECT_EQ(got.benefit, want.benefit) << "trial " << trial;
+    EXPECT_EQ(got.exact, want.exact) << "trial " << trial;
+    EXPECT_EQ(got.peak_states, want.peak_states) << "trial " << trial;
+    truncated += want.exact ? 0 : 1;
+
+    const Bytes max_quantum = std::min<Bytes>({5, buffer, rate});
+    if (max_quantum < 2) continue;
+    const Bytes quantum = rng.uniform_int(2, max_quantum);
+    const auto bracket =
+        offline::quantized_optimal_bracket(s, buffer, rate, quantum);
+    const auto [lower, upper] = reference::bracket(s, buffer, rate, quantum);
+    EXPECT_EQ(bracket.lower, lower) << "trial " << trial;
+    EXPECT_EQ(bracket.upper, upper) << "trial " << trial;
+    for (const SliceRun& run : s.runs()) {
+      zero_byte_items += run.slice_size < quantum ? 1 : 0;
+    }
+  }
+  EXPECT_GT(truncated, 500);
+  EXPECT_GT(zero_byte_items, 500);
+}
+
+TEST(ParetoDp, ShiftedListOverflowsAfterDropListIsUsedUp) {
+  // B = 3, R = 1, so a step holds at most 4 bytes. After the 2-byte slice
+  // the frontier is {(0, 0), (2, 5)}; folding the 3-byte slice shifts it to
+  // {(3, 10), (5, 15)}, and (5, 15) lies past the cap once both unshifted
+  // states have been merged. Only one slice fits: keep the heavier.
+  const Stream s = stream_of({slice(0, 2, 5.0), slice(0, 3, 10.0)});
+  const auto dp = pareto_dp_optimal(s, 3, 1);
+  EXPECT_EQ(dp.benefit, 10.0);
+  EXPECT_TRUE(dp.exact);
+  EXPECT_EQ(dp.peak_states, 3u);
+  const auto want = reference::pareto_dp(s, 3, 1, 1u << 20);
+  EXPECT_EQ(dp.benefit, want.benefit);
+  EXPECT_EQ(dp.peak_states, want.peak_states);
 }
 
 TEST(ParetoDp, EmptyStream) {

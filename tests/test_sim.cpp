@@ -165,6 +165,29 @@ TEST(Simulator, OfflineOptimalNeverWorseThanOnline) {
   }
 }
 
+TEST(Simulator, OfflineOptimalSurvivesRateBelowBracketQuantum) {
+  // Over 256 whole frames the optimum is a quantized bracket at ~1/2048 of
+  // the buffer. A rate below that quantum must not round to 0 bytes/step
+  // in the pessimistic instance (a contract abort); the quantum is clamped
+  // to the rate instead.
+  const Stream s = small_clip_stream(trace::Slicing::WholeFrame, 400);
+  sim::SweepSpec spec;
+  spec.values = {64.0};
+  spec.policies = {"tail-drop"};
+  spec.with_optimal = true;
+  spec.rate = sim::relative_rate(s, 0.02);
+  spec.threads = 1;
+  const auto result = sim::sweep(s, spec);
+  ASSERT_EQ(result.points.size(), 1u);
+  const sim::SweepPoint& point = result.points[0];
+  ASSERT_LT(point.plan.rate, point.plan.buffer / 2048);
+  ASSERT_TRUE(point.has_optimal);
+  EXPECT_GE(point.optimal.benefit_fraction, 0.0);
+  EXPECT_LE(point.optimal.benefit_fraction, 1.0);
+  EXPECT_NEAR(point.optimal.weighted_loss,
+              1.0 - point.optimal.benefit_fraction, 1e-12);
+}
+
 TEST(Simulator, PerTypeTalliesSumToTotals) {
   const Stream s = small_clip_stream(trace::Slicing::ByteSlices, 150);
   const Bytes rate = sim::relative_rate(s, 0.9);
