@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): off-line solver scaling — the
-// polymatroid greedy's O(n log T) on byte-slice clips and the Pareto DP on
-// whole-frame clips, across clip lengths, plus the quantized bracket on a
-// full-length whole-frame clip.
+// polymatroid greedy on byte-slice clips (up to the 4800-frame paper_sweep
+// length) and on a stream whose every run is its own value class, the
+// Pareto DP on whole-frame clips across clip lengths, plus the quantized
+// bracket on a full-length whole-frame clip.
 
 #include <benchmark/benchmark.h>
 
@@ -9,11 +10,13 @@
 
 #include "microbench_main.h"
 
+#include "analysis/competitive.h"
 #include "offline/pareto_dp.h"
 #include "offline/unit_optimal.h"
 #include "sim/sweep.h"
 #include "trace/slicer.h"
 #include "trace/stock_clips.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -36,7 +39,24 @@ void BM_UnitOptimal(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(frames));
 }
-BENCHMARK(BM_UnitOptimal)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_UnitOptimal)->Arg(250)->Arg(1000)->Arg(4000)->Arg(4800);
+
+// ~20 000 single-slice runs over 8000 steps with continuous weights, so
+// every run is a value class of its own: the greedy's per-run tree walks,
+// with no class large enough for a sweep.
+void BM_UnitOptimalDistinctValues(benchmark::State& state) {
+  Rng rng(1);
+  const Stream s = analysis::random_unit_stream(rng, 8000, 4, 9.0, 1.0);
+  for (auto _ : state) {
+    const auto result = offline::unit_optimal(s, /*buffer=*/16, /*rate=*/2);
+    benchmark::DoNotOptimize(result.benefit);
+  }
+  state.counters["runs"] =
+      benchmark::Counter(static_cast<double>(s.run_count()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s.run_count()));
+}
+BENCHMARK(BM_UnitOptimalDistinctValues);
 
 void BM_ParetoDp(benchmark::State& state) {
   const auto frames = static_cast<std::size_t>(state.range(0));

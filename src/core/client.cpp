@@ -42,9 +42,9 @@ void Client::set_telemetry(obs::Telemetry telemetry) {
   overflow_bytes_ = &reg.counter("client.overflow_bytes");
   underflow_count_ = &reg.counter("client.underflow_events");
   occupancy_hist_ = &reg.histogram("client.occupancy",
-                                   obs::HistogramSpec::exponential(1, 32));
+                                   obs::ExponentialBuckets{1, 32});
   stall_run_hist_ = &reg.histogram("client.stall_run_length",
-                                   obs::HistogramSpec::exponential(1, 16));
+                                   obs::ExponentialBuckets{1, 16});
   max_occupancy_ = &reg.gauge("client.max_occupancy");
 }
 

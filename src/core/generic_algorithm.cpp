@@ -61,7 +61,7 @@ void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
   shed_events_ = &reg.counter("server.shed_events");
   written_off_bytes_ = &reg.counter("server.written_off_bytes");
   occupancy_hist_ = &reg.histogram("server.occupancy",
-                                   obs::HistogramSpec::exponential(1, 32));
+                                   obs::ExponentialBuckets{1, 32});
   max_occupancy_ = &reg.gauge("server.max_occupancy");
   drop_timer_ = &reg.timer("policy.drop");
 }

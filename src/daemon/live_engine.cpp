@@ -93,7 +93,7 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
     // Updated only when a byte is late; seeded so a run with no late byte
     // publishes 0, not the empty gauge's INT64_MIN.
     max_lateness_->update(0);
-    const obs::HistogramSpec steps_spec = obs::HistogramSpec::exponential(1, 16);
+    const obs::ExponentialBuckets steps_spec{1, 16};
     hist_slack_ = &reg.histogram("client.slack_steps", steps_spec);
     hist_lateness_ = &reg.histogram("client.lateness_steps", steps_spec);
   }

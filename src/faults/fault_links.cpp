@@ -52,7 +52,7 @@ void ErasureLink::set_telemetry(obs::Telemetry telemetry) {
   erased_pieces_ = &reg.counter("link.erased_pieces");
   erased_bytes_ = &reg.counter("link.erased_bytes");
   loss_run_hist_ = &reg.histogram("link.loss_run",
-                                  obs::HistogramSpec::exponential(1, 16));
+                                  obs::ExponentialBuckets{1, 16});
 }
 
 void ErasureLink::submit(Time t, std::vector<SentPiece> pieces) {
@@ -125,7 +125,7 @@ void GilbertElliottLink::set_telemetry(obs::Telemetry telemetry) {
   erased_pieces_ = &reg.counter("link.erased_pieces");
   erased_bytes_ = &reg.counter("link.erased_bytes");
   loss_run_hist_ = &reg.histogram("link.loss_run",
-                                  obs::HistogramSpec::exponential(1, 16));
+                                  obs::ExponentialBuckets{1, 16});
 }
 
 void GilbertElliottLink::ensure_state(Time t) {

@@ -112,8 +112,8 @@ Gateway::Gateway(GatewayConfig config)
     gauge_backlog_ = &reg->gauge("gateway.max_backlog_bytes");
     gauge_max_lateness_ = &reg->gauge("gateway.max_lateness_steps");
     hist_step_served_ = &reg->histogram("gateway.step_served_bytes",
-                                        obs::HistogramSpec::exponential(64, 16));
-    const obs::HistogramSpec steps_spec = obs::HistogramSpec::exponential(1, 16);
+                                        obs::ExponentialBuckets{64, 16});
+    const obs::ExponentialBuckets steps_spec{1, 16};
     hist_slack_ = &reg->histogram("gateway.slack_steps", steps_spec);
     hist_lateness_ = &reg->histogram("gateway.lateness_steps", steps_spec);
     hist_class_lateness_.reserve(classes);

@@ -113,6 +113,17 @@ Histogram& Registry::histogram(std::string_view name,
   return histograms_.emplace(std::string(name), Histogram(spec)).first->second;
 }
 
+Histogram& Registry::histogram(std::string_view name,
+                               ExponentialBuckets shape) {
+  const auto it = histograms_.find(name);
+  if (it != histograms_.end()) return it->second;
+  return histograms_
+      .emplace(std::string(name),
+               Histogram(HistogramSpec::exponential(shape.first,
+                                                    shape.buckets)))
+      .first->second;
+}
+
 Histogram& Registry::timer(std::string_view name) {
   const auto it = timers_.find(name);
   if (it != timers_.end()) return it->second;

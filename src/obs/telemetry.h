@@ -82,6 +82,15 @@ struct HistogramSpec {
   bool operator==(const HistogramSpec&) const = default;
 };
 
+/// The arguments of HistogramSpec::exponential as a plain value. Registry
+/// builds the bounds from it only when it creates the histogram, so the
+/// call sites that resolve their instruments on every run allocate nothing
+/// once the histogram exists.
+struct ExponentialBuckets {
+  std::int64_t first = 1;
+  std::size_t buckets = 1;
+};
+
 /// Fixed-bucket histogram over int64 samples with integer weights (a
 /// byte-weighted sample is record(value, bytes)). Tracks exact count, sum,
 /// min and max alongside the bucket counts, so bound checks (Lemma 3.2:
@@ -169,6 +178,7 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, const HistogramSpec& spec);
+  Histogram& histogram(std::string_view name, ExponentialBuckets shape);
   /// Span durations in microseconds (exponential 1us..~1e6us buckets), kept
   /// in the separate timer section — excluded from deterministic snapshots.
   Histogram& timer(std::string_view name);

@@ -13,8 +13,14 @@
 // F(t) = sum_{i<=t} (a(i) - R) be the drain-adjusted prefix sum of accepted
 // bytes. The interval constraint "for all t1<=t2 containing t:
 // a[t1..t2] <= B + R*len" becomes F(t2) - F(t1-1) <= B, so the max insertable
-// at t is  B - (max_{u>=t} F(u) - min_{v<t} F(v)),  maintained with a
-// range-add/min/max segment tree in O(log T) per run: O(n log T) total.
+// at t is  B - (max_{u>=t} F(u) - min_{v<t} F(v)): a suffix max plus a
+// prefix min, and accepting at t is a suffix add on F.
+//
+// Cost: O(n log n + sum_c min(m_c log T, T)) for n runs, T = horizon + 1
+// points of F and value classes c of m_c runs with equal byte value. The
+// greedy settles a class in arrival order on one flat min/max tree: a
+// dense class (m_c * ceil(log2 T) >= T) in one sweep over the leaves, a
+// sparse one by two O(log T) walks per run.
 
 #pragma once
 

@@ -134,9 +134,9 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     // Lemma 3.2 in distribution form: on a lossless balanced run every
     // byte-weighted sample is <= ceil(B/R), so max() pins the bound.
     sojourn_hist = &reg->histogram("byte.sojourn_steps",
-                                   obs::HistogramSpec::exponential(1, 24));
+                                   obs::ExponentialBuckets{1, 24});
     burst_hist = &reg->histogram("drop.burst_length",
-                                 obs::HistogramSpec::exponential(1, 16));
+                                 obs::ExponentialBuckets{1, 16});
   }
   // The tracer's config event and the flight recorder's incident context
   // carry the same run parameters, so an incident report stays

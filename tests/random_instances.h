@@ -1,6 +1,6 @@
 // Seeded random stream/config generator shared by the differential
 // equivalence suite (test_equivalence.cpp) and the property-fuzz suite
-// (test_property.cpp).
+// (test_property.cpp), plus the round count of the randomized suites.
 //
 // Everything is a pure function of the seed, so a failing test can print a
 // self-contained reproducer: the seed plus the expanded SliceRuns and
@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -23,6 +24,16 @@
 #include "util/rng.h"
 
 namespace rtsmooth::testgen {
+
+/// Round count of the randomized suites: default 50, overridden by
+/// RTSMOOTH_PROP_ITERS (the nightly CI job runs 2000 under sanitizers).
+inline int prop_iters() {
+  if (const char* env = std::getenv("RTSMOOTH_PROP_ITERS")) {
+    const int parsed = std::atoi(env);
+    if (parsed > 0) return parsed;
+  }
+  return 50;
+}
 
 /// Random stream: 1..60 frames, 0-2 step gaps between arrivals, sometimes
 /// several runs sharing one arrival step, mixed slice granularities.

@@ -161,6 +161,23 @@ TEST_P(AllocGuard, SteadyStateStepIsAllocationFreeWithTelemetry) {
       << " times with telemetry attached";
 }
 
+TEST(RegistryAllocGuard, ExistingHistogramLookupIsAllocationFree) {
+#ifdef RTSMOOTH_ALLOC_GUARD_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#endif
+  // The server, client and simulator resolve their histograms on every
+  // run; once a histogram exists the lookup must not build its bounds.
+  obs::Registry registry;
+  registry.histogram("client.occupancy", obs::ExponentialBuckets{1, 32});
+  g_news.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const obs::Histogram& again =
+      registry.histogram("client.occupancy", obs::ExponentialBuckets{1, 32});
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(again.bounds().size(), 32u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocGuard,
                          ::testing::ValuesIn(known_policies()),
                          [](const auto& param_info) {

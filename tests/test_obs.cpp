@@ -327,6 +327,16 @@ TEST(Registry, FetchOrCreateReturnsSameInstrument) {
   EXPECT_EQ(reg.histogram("h", HistogramSpec::linear(5, 2)).count(), 1);
 }
 
+TEST(Registry, ExponentialShapeMatchesTheSpec) {
+  Registry by_shape;
+  Registry by_spec;
+  by_shape.histogram("h", ExponentialBuckets{4, 5}).record(9, 2);
+  by_spec.histogram("h", HistogramSpec::exponential(4, 5)).record(9, 2);
+  EXPECT_EQ(by_shape.histograms(), by_spec.histograms());
+  // Fetch-or-create: a later shape lookup returns the existing histogram.
+  EXPECT_EQ(by_spec.histogram("h", ExponentialBuckets{1, 2}).count(), 2);
+}
+
 TEST(Registry, MergeFoldsEverySection) {
   Registry a;
   Registry b;

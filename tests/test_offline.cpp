@@ -1,19 +1,28 @@
-// Unit and cross-validation tests for the off-line solvers: the segment
-// tree, the two feasibility forms, the polymatroid greedy (unit slices), the
-// Pareto DP (variable slices), and the brute-force oracle tying them all
-// together.
+// Unit and cross-validation tests for the off-line solvers: the two
+// feasibility forms, the polymatroid greedy (unit slices) against its
+// recursive-tree reference, the Pareto DP (variable slices), and the
+// brute-force oracle tying them all together.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "analysis/competitive.h"
 #include "offline/brute_force.h"
 #include "offline/feasibility.h"
 #include "offline/pareto_dp.h"
-#include "offline/segment_tree.h"
 #include "offline/unit_optimal.h"
+#include "random_instances.h"
 #include "stream_helpers.h"
+#include "trace/slicer.h"
+#include "trace/stock_clips.h"
 #include "util/rng.h"
 
 namespace rtsmooth {
@@ -26,13 +35,137 @@ using offline::feasible;
 using offline::feasible_interval_form;
 using offline::lindley_peak;
 using offline::pareto_dp_optimal;
-using offline::RangeAddTree;
 using offline::unit_optimal;
 using testing::slice;
 using testing::stream_of;
 using testing::units;
 
-// ---------------------------------------------------------------- seg tree
+// ----------------------------------------- unit-slice reference (oracle)
+
+/// The recursive range-add / range-min / range-max segment tree the
+/// unit-slice greedy used before its flat suffix tree, kept with
+/// reference_unit_optimal as the differential reference.
+class RangeAddTree {
+ public:
+  /// Tree over indices [0, n), starting at base + step * i.
+  RangeAddTree(std::size_t n, std::int64_t base, std::int64_t step)
+      : n_(n), nodes_(4 * n) {
+    build(1, 0, n_ - 1, base, step);
+  }
+
+  /// Adds `delta` to every index in [lo, hi] (inclusive).
+  void add(std::size_t lo, std::size_t hi, std::int64_t delta) {
+    add(1, 0, n_ - 1, lo, hi, delta);
+  }
+
+  /// Max / min over [lo, hi] (inclusive).
+  std::int64_t range_max(std::size_t lo, std::size_t hi) const {
+    return query(1, 0, n_ - 1, lo, hi, 0, true);
+  }
+  std::int64_t range_min(std::size_t lo, std::size_t hi) const {
+    return query(1, 0, n_ - 1, lo, hi, 0, false);
+  }
+
+ private:
+  struct Node {
+    std::int64_t max = 0;
+    std::int64_t min = 0;
+    std::int64_t pending = 0;  ///< add applying to the whole subtree
+  };
+
+  void build(std::size_t node, std::size_t lo, std::size_t hi,
+             std::int64_t base, std::int64_t step) {
+    if (lo == hi) {
+      nodes_[node].max = nodes_[node].min =
+          base + step * static_cast<std::int64_t>(lo);
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    build(2 * node, lo, mid, base, step);
+    build(2 * node + 1, mid + 1, hi, base, step);
+    nodes_[node].max = std::max(nodes_[2 * node].max, nodes_[2 * node + 1].max);
+    nodes_[node].min = std::min(nodes_[2 * node].min, nodes_[2 * node + 1].min);
+  }
+
+  void add(std::size_t node, std::size_t node_lo, std::size_t node_hi,
+           std::size_t lo, std::size_t hi, std::int64_t delta) {
+    if (hi < node_lo || node_hi < lo) return;
+    Node& n = nodes_[node];
+    if (lo <= node_lo && node_hi <= hi) {
+      n.pending += delta;
+      n.max += delta;
+      n.min += delta;
+      return;
+    }
+    const std::size_t mid = node_lo + (node_hi - node_lo) / 2;
+    add(2 * node, node_lo, mid, lo, hi, delta);
+    add(2 * node + 1, mid + 1, node_hi, lo, hi, delta);
+    const Node& left = nodes_[2 * node];
+    const Node& right = nodes_[2 * node + 1];
+    n.max = n.pending + std::max(left.max, right.max);
+    n.min = n.pending + std::min(left.min, right.min);
+  }
+
+  std::int64_t query(std::size_t node, std::size_t node_lo,
+                     std::size_t node_hi, std::size_t lo, std::size_t hi,
+                     std::int64_t acc, bool want_max) const {
+    if (hi < node_lo || node_hi < lo) {
+      return want_max ? std::numeric_limits<std::int64_t>::min()
+                      : std::numeric_limits<std::int64_t>::max();
+    }
+    const Node& n = nodes_[node];
+    if (lo <= node_lo && node_hi <= hi) return acc + (want_max ? n.max : n.min);
+    const std::size_t mid = node_lo + (node_hi - node_lo) / 2;
+    const std::int64_t below = acc + n.pending;
+    const std::int64_t left =
+        query(2 * node, node_lo, mid, lo, hi, below, want_max);
+    const std::int64_t right =
+        query(2 * node + 1, mid + 1, node_hi, lo, hi, below, want_max);
+    return want_max ? std::max(left, right) : std::min(left, right);
+  }
+
+  std::size_t n_;
+  std::vector<Node> nodes_;
+};
+
+/// The unit-slice greedy as it stood before the per-class sweep: a
+/// comparator sort on byte value, then one range query and one range add
+/// on the recursive tree per run.
+offline::OfflineResult reference_unit_optimal(const Stream& stream,
+                                              Bytes buffer, Bytes rate) {
+  offline::OfflineResult result;
+  result.accepted_per_run.assign(stream.run_count(), 0);
+  if (stream.empty()) return result;
+  const auto n = static_cast<std::size_t>(stream.horizon()) + 1;
+  RangeAddTree g(n, /*base=*/0, /*step=*/-rate);
+  std::vector<std::size_t> order(stream.run_count());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto runs = stream.runs();
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const double va = runs[a].byte_value();
+    const double vb = runs[b].byte_value();
+    if (va != vb) return va > vb;
+    if (runs[a].arrival != runs[b].arrival) {
+      return runs[a].arrival < runs[b].arrival;
+    }
+    return a < b;
+  });
+  for (std::size_t idx : order) {
+    const SliceRun& run = runs[idx];
+    const auto t = static_cast<std::size_t>(run.arrival);
+    const std::int64_t hi = g.range_max(t + 1, n - 1);
+    const std::int64_t lo = g.range_min(0, t);
+    const std::int64_t take =
+        std::clamp<std::int64_t>(buffer - (hi - lo), 0, run.count);
+    if (take == 0) continue;
+    g.add(t + 1, n - 1, take);
+    result.accepted_per_run[idx] = take;
+    result.benefit += run.weight * static_cast<Weight>(take);
+    result.accepted_bytes += take;
+    result.accepted_slices += take;
+  }
+  return result;
+}
 
 TEST(SegmentTree, AffineInitialization) {
   RangeAddTree t(6, 10, -3);  // 10, 7, 4, 1, -2, -5
@@ -180,6 +313,90 @@ TEST(UnitOptimal, MatchesBruteForceOnRandomSmallInstances) {
 TEST(UnitOptimal, EmptyStream) {
   const Stream s;
   EXPECT_DOUBLE_EQ(unit_optimal(s, 5, 1).benefit, 0.0);
+}
+
+/// Unit runs whose weights mostly come from {1, 2, 3}, with a random share
+/// of continuous weights: one call holds large equal-value classes next to
+/// singletons.
+Stream mixed_unit_stream(Rng& rng, Time horizon) {
+  std::vector<SliceRun> runs;
+  const double distinct_share = rng.uniform(0.0, 0.5);
+  for (Time t = 0; t < horizon; ++t) {
+    const std::int64_t batch = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < batch; ++k) {
+      const double weight =
+          rng.bernoulli(distinct_share)
+              ? rng.uniform(1.0, 9.0)
+              : static_cast<double>(rng.uniform_int(1, 3));
+      runs.push_back(SliceRun{.arrival = t,
+                              .slice_size = 1,
+                              .count = rng.uniform_int(1, 6),
+                              .weight = weight});
+    }
+  }
+  if (runs.empty()) runs.push_back(SliceRun{.arrival = 0});
+  return Stream::from_runs(std::move(runs));
+}
+
+TEST(UnitOptimal, FlatSolverMatchesRecursiveTreeReferenceBitwise) {
+  // Same greedy order, same integer slack and the same floating-point
+  // additions in the same order: every field must match bit for bit. The
+  // solver sweeps a value class of m runs when m * ceil(log2 T) >= T
+  // (T = horizon + 1) and walks the tree per run otherwise; both branches
+  // must be exercised, and within one call too.
+  Rng rng(15);
+  const trace::FrameSequence clip = trace::stock_clip("cnn-news", 600);
+  int dense = 0;
+  int sparse = 0;
+  int calls_with_both = 0;
+  const auto check = [&](const Stream& s, Bytes buffer, Bytes rate,
+                         const std::string& label) {
+    const auto got = unit_optimal(s, buffer, rate);
+    const auto want = reference_unit_optimal(s, buffer, rate);
+    EXPECT_EQ(got.benefit, want.benefit) << label;
+    EXPECT_EQ(got.accepted_bytes, want.accepted_bytes) << label;
+    EXPECT_EQ(got.accepted_slices, want.accepted_slices) << label;
+    EXPECT_EQ(got.accepted_per_run, want.accepted_per_run) << label;
+    std::map<double, std::size_t> members;
+    for (const SliceRun& run : s.runs()) ++members[run.byte_value()];
+    const auto points = static_cast<std::size_t>(s.horizon()) + 1;
+    const auto depth = static_cast<std::size_t>(std::bit_width(points - 1));
+    int call_dense = 0;
+    int call_sparse = 0;
+    for (const auto& [value, m] : members) {
+      ++(m * depth >= points ? call_dense : call_sparse);
+    }
+    dense += call_dense;
+    sparse += call_sparse;
+    calls_with_both += call_dense > 0 && call_sparse > 0 ? 1 : 0;
+  };
+  const int rounds = 10 * testgen::prop_iters();
+  for (int round = 0; round < rounds; ++round) {
+    const std::string tag = "round " + std::to_string(round);
+    const auto frames = static_cast<std::size_t>(rng.uniform_int(2, 240));
+    const auto offset = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(clip.size() - frames)));
+    const std::span<const trace::Frame> excerpt(clip.data() + offset, frames);
+    for (const auto& [name, values] :
+         {std::pair{"mpeg", trace::ValueModel::mpeg_default()},
+          std::pair{"throughput", trace::ValueModel::throughput()}}) {
+      const Stream s =
+          trace::slice_frames(excerpt, values, trace::Slicing::ByteSlices);
+      const auto rate = std::max<Bytes>(
+          1, static_cast<Bytes>(s.average_rate() * rng.uniform(0.3, 1.3)));
+      const auto buffer = std::max<Bytes>(
+          1, static_cast<Bytes>(static_cast<double>(s.max_frame_bytes()) *
+                                rng.uniform(0.1, 3.0)));
+      check(s, buffer, rate, tag + " " + name);
+    }
+    check(analysis::random_unit_stream(rng, rng.uniform_int(1, 60), 4, 9.0),
+          rng.uniform_int(1, 12), rng.uniform_int(1, 4), tag + " distinct");
+    check(mixed_unit_stream(rng, rng.uniform_int(1, 80)),
+          rng.uniform_int(1, 20), rng.uniform_int(1, 6), tag + " mixed");
+  }
+  EXPECT_GT(dense, 500);
+  EXPECT_GT(sparse, 500);
+  EXPECT_GT(calls_with_both, rounds / 10);
 }
 
 // ------------------------------------------- Pareto DP reference (oracle)

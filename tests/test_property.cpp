@@ -195,15 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OfflineSolverProperties,
 
 // ------------------------------------------------------------ fuzz rounds
 
-/// Round count: default 50, overridden by RTSMOOTH_PROP_ITERS (the nightly
-/// CI job runs 2000 under sanitizers).
-int prop_iters() {
-  if (const char* env = std::getenv("RTSMOOTH_PROP_ITERS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
-  return 50;
-}
+using testgen::prop_iters;
 
 /// Emits the reproducer to stderr and, when RTSMOOTH_REPRO_DIR is set, to a
 /// dump file CI can collect as an artifact. The directory is created if it
