@@ -22,7 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/link.h"
 #include "daemon/rtsmoothd.h"
+#include "faults/fault_links.h"
 #include "faults/fault_schedule.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
@@ -335,6 +337,43 @@ TEST(Daemon, ServesBoundedGeneratorCleanly) {
   EXPECT_TRUE(snap.at("admission").at("ledger_conserves").as_bool());
   EXPECT_TRUE(snap.at("report").at("conserves").as_bool());
   EXPECT_EQ(snap.at("stop_signal").as_int(), 0);
+}
+
+// A permanent link outage never drains: the shutdown drain must hit its
+// ceiling, book what is already terminal, write the rest off as residual,
+// and still leave both ledgers balanced.
+TEST(Daemon, PermanentOutageForcesResidualAtDrainCeiling) {
+  GeneratorConfig gen;
+  gen.channels = 2;
+  gen.mean_frame_bytes = 64;
+  gen.max_frame_bytes = 256;
+  gen.min_frame_bytes = 8;
+  gen.seed = 11;
+  gen.frames_per_channel = 100;
+  DaemonOptions opts = balanced_options(/*rate=*/256, /*delay=*/4);
+  opts.max_steps = 150;  // the serving loop itself waits for quiescence
+  opts.max_drain_steps = 8;
+  // ThrottledLink rejects an all-zero pattern (it could never drain); a
+  // zero cap for 4095 steps is a permanent outage for this short run.
+  std::vector<Bytes> outage(4096, 0);
+  outage.back() = 1;
+  Daemon daemon(opts, std::make_unique<GeneratorSource>(gen),
+                [outage](const EngineConfig& config) -> std::unique_ptr<Link> {
+                  return std::make_unique<faults::ThrottledLink>(
+                      std::make_unique<FixedDelayLink>(config.link_delay),
+                      outage);
+                });
+  ASSERT_EQ(daemon.serve(), 0);
+  const obs::Json snap = daemon.snapshot();
+  EXPECT_TRUE(snap.at("reconfigs").at("forced_residual").as_bool());
+  EXPECT_EQ(daemon.registry().counters().at("daemon.drain.forced_residual")
+                .value(),
+            1);
+  const SimReport report = daemon.total_report();
+  EXPECT_TRUE(report.conserves());
+  EXPECT_GT(report.residual.bytes, 0);
+  EXPECT_EQ(report.played.bytes, 0);
+  EXPECT_TRUE(daemon.ingest_ledger_conserves());
 }
 
 // The lateness gauge is updated only by late bytes; a run without any must
