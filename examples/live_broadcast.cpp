@@ -40,7 +40,7 @@ int main() {
       ServerConfig{.buffer = plan.buffer, .rate = plan.rate},
       std::make_unique<GreedyDropPolicy>());
   FixedDelayLink link(link_delay);
-  Client client(stream, plan.buffer, link_delay + plan.delay);
+  Client client(plan.buffer, link_delay + plan.delay);
 
   std::cout << "live feed: 25 fps, greedy dropping, R = "
             << format_bytes(static_cast<double>(plan.rate)) << "/frame, D = "
@@ -50,11 +50,22 @@ int main() {
             << "  ----+----------+----------+----------+-------\n";
 
   SimReport report;
+  // Server drops reach the client's ledger, so each frame's record is
+  // closed as soon as the frame has played and nothing of it is owed.
+  server.set_drop_sink([&client, &report](const SliceRun& /*run*/,
+                                          std::size_t run_index,
+                                          std::int64_t slices) {
+    client.add_server_drop(run_index, slices, report);
+  });
   ArrivalCursor cursor(stream);
   const Time horizon = stream.horizon();
   const Time last = horizon + link_delay + plan.delay;
   for (Time t = 0; t <= last; ++t) {
-    auto pieces = server.step(t, cursor.step(t), report, nullptr);
+    const ArrivalBatch batch = cursor.step(t);
+    for (std::size_t i = 0; i < batch.runs.size(); ++i) {
+      client.admit(batch.runs[i], batch.first_index + i);
+    }
+    auto pieces = server.step(t, batch, report, nullptr);
     link.submit(t, std::move(pieces));
     const auto delivered = link.deliver(t);
     client.deliver(t, delivered, report, nullptr);

@@ -143,8 +143,9 @@ class SmoothingServer {
   void set_link_loss_sink(LinkLossSink sink) { loss_sink_ = std::move(sink); }
 
   /// Invoked with every server-side drop (Eq. (3) sheds, early drops, value-
-  /// floor sheds) after it has been tallied. Live callers use this for
-  /// per-run ledgers the batch SimReport cannot carry; null by default.
+  /// floor sheds) after it has been tallied. The simulators and the daemon
+  /// wire this to Client::add_server_drop, so a run with drops can leave
+  /// the client's window once it completes; null by default.
   using DropSink = std::function<void(const SliceRun& run,
                                       std::size_t run_index,
                                       std::int64_t slices)>;

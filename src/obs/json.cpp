@@ -61,9 +61,14 @@ void write_double(std::ostream& os, double v) {
 
 /// Recursive-descent parser over a string_view. Errors throw with the byte
 /// offset, which is all a command-line forensics tool needs to point at the
-/// broken spot of a one-line JSONL event.
+/// broken spot of a one-line JSONL event. Nesting is capped at kMaxDepth
+/// levels: the parser reads outside input (incident files, trace lines), and
+/// each level costs a few stack frames, so unbounded nesting would overflow
+/// the stack instead of failing like any other malformed document.
 class Parser {
  public:
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
@@ -126,12 +131,21 @@ class Parser {
     }
   }
 
+  /// Enters one more object/array level; the caller leaves it on return.
+  void descend() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
   Json parse_object() {
+    descend();
     expect('{');
     Json obj = Json::object();
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return obj;
     }
     while (true) {
@@ -146,16 +160,19 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return obj;
     }
   }
 
   Json parse_array() {
+    descend();
     expect('[');
     Json arr = Json::array();
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return arr;
     }
     while (true) {
@@ -166,6 +183,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return arr;
     }
   }
@@ -280,6 +298,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< objects/arrays currently open
 };
 
 [[noreturn]] void accessor_mismatch(const char* wanted) {

@@ -4,26 +4,8 @@
 
 #include "offline/pareto_dp.h"
 #include "offline/unit_optimal.h"
-#include "sim/runner.h"
-#include "sim/simulator.h"
 
 namespace rtsmooth::sim {
-
-std::vector<PolicyOutcome> run_policies(const Stream& stream, const Plan& plan,
-                                        std::span<const std::string> policies,
-                                        Time link_delay, unsigned threads) {
-  std::vector<PolicyOutcome> out(policies.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(policies.size());
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    out[i].policy = policies[i];
-    tasks.push_back([&stream, &plan, &out, link_delay, i] {
-      out[i].report = simulate(stream, plan, out[i].policy, link_delay);
-    });
-  }
-  ParallelRunner(threads).run(std::move(tasks));
-  return out;
-}
 
 OptimalPoint offline_optimal(const Stream& stream, Bytes buffer, Bytes rate) {
   OptimalPoint point;

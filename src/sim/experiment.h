@@ -1,10 +1,9 @@
-// Experiment helpers shared by the figure benches and examples: run a set of
-// named policies on one configuration, and compute the off-line optimal
-// comparator with the right solver for the stream's slice model.
+// Experiment helpers shared by the figure benches and examples: the
+// per-policy outcome a sweep point carries, and the off-line optimal
+// comparator computed with the right solver for the stream's slice model.
 
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -20,16 +19,6 @@ struct PolicyOutcome {
 
   bool operator==(const PolicyOutcome&) const = default;
 };
-
-/// Simulates every named policy on `stream` under the balanced plan. Each
-/// policy runs as an independent task on a ParallelRunner (sim/runner.h):
-/// `threads = 0` defers to RTSMOOTH_THREADS / the hardware, `threads = 1`
-/// runs serially in place; the outcomes are identical either way and keep
-/// the order of `policies`.
-std::vector<PolicyOutcome> run_policies(const Stream& stream, const Plan& plan,
-                                        std::span<const std::string> policies,
-                                        Time link_delay = 1,
-                                        unsigned threads = 0);
 
 struct OptimalPoint {
   double weighted_loss = 0.0;

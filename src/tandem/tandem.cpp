@@ -48,18 +48,20 @@ TandemReport TandemSimulator::run() {
   for (const Hop& hop : hops_) total_link_delay += hop.config.link_delay;
   report.playout_offset = total_link_delay + smoothing_delay_;
 
-  // Per-hop drop accounting through the buffer observers.
+  Client client(client_buffer_, report.playout_offset);
+  SimReport& sim = report.end_to_end;
+  // Per-hop drop accounting through the buffer observers; the client hears
+  // of every drop too, so its runs retire as they complete.
   for (Hop& hop : hops_) {
     Tally* tally = &hop.dropped;
-    hop.buffer.set_drop_observer(
-        [tally](const SliceRun& run, std::size_t, std::int64_t slices) {
-          tally->add(run.slice_size * slices,
-                     run.weight * static_cast<Weight>(slices), slices);
-        });
+    hop.buffer.set_drop_observer([tally, &client, &sim](const SliceRun& run,
+                                                        std::size_t run_index,
+                                                        std::int64_t slices) {
+      tally->add(run.slice_size * slices,
+                 run.weight * static_cast<Weight>(slices), slices);
+      client.add_server_drop(run_index, slices, sim);
+    });
   }
-
-  Client client(*stream_, client_buffer_, report.playout_offset);
-  SimReport& sim = report.end_to_end;
   ArrivalCursor cursor(*stream_);
   const Time horizon = stream_->horizon();
   const Time last_playout = horizon - 1 + report.playout_offset;
@@ -82,6 +84,7 @@ TandemReport TandemSimulator::run() {
     const ArrivalBatch batch = cursor.step(t);
     for (std::size_t i = 0; i < batch.runs.size(); ++i) {
       const SliceRun& run = batch.runs[i];
+      client.admit(run, batch.first_index + i);
       hops_.front().buffer.push(run, batch.first_index + i, run.count);
       sim.offered.add(run.total_bytes(), run.total_weight(), run.count);
       sim.offered_by_type[type_index(run.frame_type)].add(

@@ -77,10 +77,4 @@ void write_trace(std::ostream& out, const FrameSequence& frames) {
   }
 }
 
-void write_trace_file(const std::string& path, const FrameSequence& frames) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace file: " + path);
-  write_trace(out, frames);
-}
-
 }  // namespace rtsmooth::trace

@@ -25,6 +25,5 @@ FrameSequence read_trace_file(const std::string& path);
 
 /// Writes "<type> <size>" lines.
 void write_trace(std::ostream& out, const FrameSequence& frames);
-void write_trace_file(const std::string& path, const FrameSequence& frames);
 
 }  // namespace rtsmooth::trace

@@ -450,7 +450,6 @@ class ReferenceClient {
   }
 
   void deliver(Time t, std::span<const SentPiece> pieces, SimReport& report) {
-    (void)report;
     for (const SentPiece& piece : pieces) {
       RTS_ASSERT(piece.bytes > 0);
       RunState& rs = runs_[piece.run_index];
@@ -461,6 +460,10 @@ class ReferenceClient {
       }
       const Time playout_at = playout_step(piece.run->arrival);
       if (rs.played_out || playout_at < t) {
+        // Lateness is measured from the step the frame actually played, or
+        // from its playout step if it has not played.
+        const Time deadline = rs.played_out ? rs.play_time : playout_at;
+        report.max_lateness = std::max(report.max_lateness, t - deadline);
         rs.late_lost += piece.bytes;
         total_late_ += piece.bytes;
         continue;
@@ -540,6 +543,7 @@ class ReferenceClient {
     Bytes link_lost = 0;
     std::int64_t played = 0;
     bool played_out = false;
+    Time play_time = 0;  ///< meaningful once played_out
   };
 
   Time playout_step(Time arrival) const {
@@ -582,6 +586,7 @@ class ReferenceClient {
       RunState& rs = runs_[run_index];
       RTS_ASSERT(!rs.played_out);
       rs.played_out = true;
+      rs.play_time = t;
       const std::int64_t complete = rs.stored / run.slice_size;
       const Bytes played_bytes = complete * run.slice_size;
       const Bytes leftover = rs.stored - played_bytes;

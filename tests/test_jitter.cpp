@@ -8,6 +8,7 @@
 
 #include "core/link.h"
 #include "policies/policy_factory.h"
+#include "reference_core.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "stream_helpers.h"
@@ -57,6 +58,32 @@ TEST(Jitter, UncompensatedJitterCausesClientLoss) {
   const SimReport report = run_with_jitter(s, plan, 1, /*j=*/6, 0, 0);
   EXPECT_TRUE(report.conserves());
   EXPECT_GT(report.dropped_client_late.bytes, 0);
+}
+
+// The batch engine reports how late its latest late byte was, as the
+// oracle and the daemon engine do; a balanced plan sends every byte by
+// AT + D, so no byte can be later than the jitter bound.
+TEST(Jitter, LateBytesSetMaxLatenessLikeTheOracle) {
+  const Stream s = clip_stream();
+  const Plan plan =
+      Planner::from_buffer_rate(2 * s.max_frame_bytes(),
+                                sim::relative_rate(s, 0.95));
+  const Time jitter = 6;
+  const SimConfig config = SimConfig::balanced(plan, 1);
+  SmoothingSimulator simulator(
+      s, config, make_policy("greedy"),
+      std::make_unique<BoundedJitterLink>(1, jitter, Rng(99)));
+  const SimReport report = simulator.run();
+  refcore::ReferenceSimulator oracle(
+      s, config, "greedy",
+      std::make_unique<refcore::ReferenceBoundedJitterLink>(1, jitter,
+                                                            Rng(99)));
+  const SimReport expected = oracle.run();
+  ASSERT_GT(report.dropped_client_late.bytes, 0);
+  EXPECT_GT(report.max_lateness, 0);
+  EXPECT_LE(report.max_lateness, jitter);
+  EXPECT_EQ(report.max_lateness, expected.max_lateness);
+  EXPECT_TRUE(report == expected);
 }
 
 TEST(Jitter, DelayAndBufferSlackRestoreLosslessness) {
